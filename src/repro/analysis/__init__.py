@@ -2,9 +2,10 @@
 
 * :mod:`repro.analysis.sweep` — run an algorithm/machine factory over a
   parameter grid, collecting simulated cost and verifier verdicts.
-* :mod:`repro.analysis.parallel_sweep` — the multiprocessing-backed drop-in
-  for :func:`sweep` (per-point process isolation, deterministic per-point
-  seeding, JSON result cache for resumable benches).
+* :mod:`repro.analysis.parallel_sweep` — the worker-pool drop-in for
+  :func:`sweep` (crash isolation and timeouts on warm workers,
+  deterministic per-point seeding, JSON result cache for resumable
+  benches).
 * :mod:`repro.analysis.fit` — growth-shape checking: fit a single constant
   against a reference curve and test dominance / boundedness / monotone
   trends, the executable meaning of Omega/Theta at finite n (DESIGN.md

@@ -1,12 +1,12 @@
-"""Multiprocessing-backed parameter sweeps — a fault-tolerant drop-in for
-:func:`sweep`.
+"""Worker-pool parameter sweeps — a fault-tolerant drop-in for :func:`sweep`.
 
 Large Table 1 sweeps are embarrassingly parallel: every grid point builds a
 fresh machine, runs one algorithm, and verifies independently.
-:func:`parallel_sweep` farms the grid points out to worker *processes* (one
-process per point, so a point can never observe another point's interpreter
-state) and returns the points in the same order
-:func:`repro.analysis.sweep.sweep` would.
+:func:`parallel_sweep` farms the grid points out to the warm worker
+processes of :class:`repro.sched.pool.WorkerPool` and returns the points
+in the same order :func:`repro.analysis.sweep.sweep` would.  The
+``serial`` executor runs them in-process instead — the reference path,
+with no pickling requirement.
 
 Fault tolerance
 ---------------
@@ -14,9 +14,9 @@ A long sweep must not lose hours of completed points to one bad grid point
 (see docs/ROBUSTNESS.md for the full contract):
 
 * **Timeouts** — ``timeout`` bounds each point's runtime; a point that
-  exceeds it has its worker process terminated.
+  exceeds it has its worker process killed.
 * **Crash isolation** — a worker that dies (segfault, ``os._exit``, OOM
-  kill) fails only its own point; the sweep keeps going.
+  kill) fails only its own point; the sweep keeps going on a fresh worker.
 * **Retries** — ``retries`` re-runs a failed point up to that many extra
   times, with exponential ``backoff`` between attempts; a success after
   retries carries ``extra["sweep_attempts"]``.
@@ -65,12 +65,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 import tempfile
 import time
 import warnings
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro.analysis.sweep import SweepPoint, grid_points, point_from_outcome
 
@@ -82,7 +81,6 @@ __all__ = [
     "bench_cache_path",
     "SweepPointError",
     "JOBS_ENV",
-    "EXECUTOR_ENV",
     "EXECUTORS",
 ]
 
@@ -105,17 +103,10 @@ class SweepPointError(RuntimeError):
 #: ``--jobs`` flag sets it so every bench in a run picks it up.
 JOBS_ENV = "REPRO_JOBS"
 
-#: Environment variable overriding the ``executor="auto"`` resolution —
-#: set ``REPRO_EXECUTOR=process`` to A/B the legacy process-per-point
-#: path against the warm pool (``benchmarks/bench_sched.py`` does).
-EXECUTOR_ENV = "REPRO_EXECUTOR"
-
 #: Recognised executors.  ``auto`` resolves to ``serial`` for
-#: ``jobs=1`` without a timeout and to ``pool`` (the warm worker pool of
-#: :mod:`repro.sched.pool`) otherwise; ``process`` is the legacy
-#: process-per-point path kept for comparison benches and as the
-#: maximum-isolation fallback.
-EXECUTORS = ("auto", "serial", "process", "pool")
+#: ``jobs=1`` without a timeout or pool and to ``pool`` (the warm worker
+#: pool of :mod:`repro.sched.pool`) otherwise.
+EXECUTORS = ("auto", "serial", "pool")
 
 
 def default_jobs() -> int:
@@ -167,20 +158,6 @@ def _call_point(
     if seed_arg is not None:
         kwargs[seed_arg] = derive_point_seed(base_seed, params)
     return run(**kwargs)
-
-
-def _pipe_worker(conn, run, params, seed_arg, base_seed) -> None:
-    """Child-process entry: run one point, send the outcome down the pipe."""
-    try:
-        outcome = _call_point(run, params, seed_arg, base_seed)
-        conn.send(("ok", outcome))
-    except BaseException as exc:  # report crashes of any stripe to the parent
-        try:
-            conn.send(("error", f"{type(exc).__name__}: {exc}"))
-        except Exception:
-            pass
-    finally:
-        conn.close()
 
 
 def _valid_cache_entry(value: Any) -> bool:
@@ -298,121 +275,6 @@ def _run_serial(
             break
 
 
-def _run_processes(
-    pending: List[_Attempting],
-    outcomes: Dict[str, Dict[str, Any]],
-    run: Callable[..., Dict[str, Any]],
-    seed_arg: Optional[str],
-    base_seed: Any,
-    jobs: int,
-    timeout: Optional[float],
-    retries: int,
-    backoff: float,
-    on_error: str,
-) -> None:
-    """Process-per-point execution with watchdog, retries, crash isolation."""
-    from multiprocessing import get_context
-    from multiprocessing.connection import wait as conn_wait
-
-    ctx = get_context()
-    queue: List[_Attempting] = list(pending)
-    active: List[Tuple[Any, Any, _Attempting, float]] = []  # (proc, conn, task, deadline)
-
-    def reap(proc: Any, conn: Any) -> None:
-        try:
-            conn.close()
-        except OSError:
-            pass
-        proc.join(timeout=5.0)
-        if proc.is_alive():  # pragma: no cover - stuck even after terminate
-            proc.kill()
-            proc.join()
-
-    def fail(task: _Attempting, error: str) -> None:
-        task.failures += 1
-        task.last_error = error
-        if task.failures <= retries:
-            task.not_before = time.monotonic() + (
-                backoff * 2 ** (task.failures - 1) if backoff > 0 else 0.0
-            )
-            queue.append(task)
-            return
-        if on_error == "raise":
-            for proc, conn, _, _ in active:
-                proc.terminate()
-                reap(proc, conn)
-            raise SweepPointError(task.params, error, task.failures)
-        outcomes[task.key] = _error_outcome(error, task.failures)
-
-    try:
-        while queue or active:
-            # Launch ready tasks into free worker slots.
-            now = time.monotonic()
-            ready = [t for t in queue if t.not_before <= now]
-            while ready and len(active) < jobs:
-                task = ready.pop(0)
-                queue.remove(task)
-                parent_conn, child_conn = ctx.Pipe(duplex=False)
-                proc = ctx.Process(
-                    target=_pipe_worker,
-                    args=(child_conn, run, task.params, seed_arg, base_seed),
-                )
-                proc.start()
-                child_conn.close()  # parent keeps only its end
-                deadline = now + timeout if timeout is not None else math.inf
-                active.append((proc, parent_conn, task, deadline))
-            if not active:
-                # Everything pending is backing off; sleep until one is due.
-                wake = min(t.not_before for t in queue)
-                time.sleep(max(0.0, min(wake - time.monotonic(), 0.1)))
-                continue
-
-            # Wait for a result, a crash, or the nearest deadline.
-            nearest = min(deadline for _, _, _, deadline in active)
-            wait_for = (
-                max(0.001, min(nearest - time.monotonic(), 0.5))
-                if nearest < math.inf
-                else 0.5
-            )
-            ready_conns = set(conn_wait([conn for _, conn, _, _ in active], wait_for))
-
-            still_active = []
-            for proc, conn, task, deadline in active:
-                # A worker may finish between conn_wait and the liveness
-                # check below; poll() catches its parting message either way.
-                if conn in ready_conns or (not proc.is_alive() and conn.poll()):
-                    try:
-                        status, payload = conn.recv()
-                    except (EOFError, OSError):
-                        # The pipe closed with nothing in it: worker died.
-                        reap(proc, conn)
-                        fail(task, f"worker crashed (exit code {proc.exitcode})")
-                        continue
-                    reap(proc, conn)
-                    if status == "ok":
-                        if task.failures:
-                            payload = dict(payload)
-                            payload["sweep_attempts"] = task.failures + 1
-                        outcomes[task.key] = payload
-                    else:
-                        fail(task, str(payload))
-                elif not proc.is_alive():
-                    reap(proc, conn)
-                    fail(task, f"worker crashed (exit code {proc.exitcode})")
-                elif time.monotonic() >= deadline:
-                    proc.terminate()
-                    reap(proc, conn)
-                    fail(task, f"timed out after {timeout}s")
-                else:
-                    still_active.append((proc, conn, task, deadline))
-            active = still_active
-    except BaseException:
-        for proc, conn, _, _ in active:  # interrupted: leave no orphans
-            proc.terminate()
-            reap(proc, conn)
-        raise
-
-
 def _run_pool(
     pending: List[_Attempting],
     outcomes: Dict[str, Dict[str, Any]],
@@ -426,8 +288,7 @@ def _run_pool(
     on_error: str,
     pool: Optional[Any] = None,
 ) -> None:
-    """Warm-pool execution: same watchdog/retry/isolation contract as
-    :func:`_run_processes`, minus the per-point process launch."""
+    """Warm-pool execution with watchdog timeouts, retries and crash isolation."""
     from repro.sched.pool import WorkerPool
 
     owns_pool = pool is None
@@ -515,11 +376,9 @@ def parallel_sweep(
 
     * points execute in up to ``jobs`` worker processes (default:
       ``$REPRO_JOBS`` or the CPU count) selected by ``executor``:
-      ``"pool"`` (the warm worker pool of :mod:`repro.sched.pool` — the
-      default whenever workers are needed), ``"process"`` (the legacy
-      one-fresh-process-per-point path), ``"serial"`` (in-process), or
-      ``"auto"`` (serial for ``jobs=1`` without a timeout, else the pool;
-      ``$REPRO_EXECUTOR`` overrides).  Pass an existing
+      ``"pool"`` (the warm worker pool of :mod:`repro.sched.pool`),
+      ``"serial"`` (in-process), or ``"auto"`` (serial for ``jobs=1``
+      without a timeout or pool, else the pool).  Pass an existing
       :class:`~repro.sched.pool.WorkerPool` as ``pool`` to share warm
       workers across sweeps;
     * with ``seed_arg``, each call receives ``run(**point, seed_arg=s)``
@@ -544,7 +403,7 @@ def parallel_sweep(
     ``run`` must be picklable (a module-level function) when worker
     processes are used; serial execution has no pickling requirement
     (crashes there are ordinary exceptions, still subject to retries and
-    ``on_error``).  All executors produce bit-identical results for a
+    ``on_error``).  Both executors produce bit-identical results for a
     deterministic ``run`` — property-tested in
     ``tests/property/test_sched_props.py``.
     """
@@ -575,15 +434,7 @@ def parallel_sweep(
     jobs = default_jobs() if jobs is None else int(jobs)
     resolved = executor
     if resolved == "auto":
-        env = os.environ.get(EXECUTOR_ENV, "").strip()
-        if env:
-            if env not in ("serial", "process", "pool"):
-                raise ValueError(
-                    f"{EXECUTOR_ENV} must be serial, process or pool, got {env!r}"
-                )
-            resolved = env
-        else:
-            resolved = "serial" if (jobs == 1 and timeout is None and pool is None) else "pool"
+        resolved = "serial" if (jobs == 1 and timeout is None and pool is None) else "pool"
     if resolved == "serial" and timeout is not None:
         raise ValueError("the serial executor cannot enforce timeouts")
 
@@ -626,11 +477,6 @@ def parallel_sweep(
                 _run_serial(
                     pending, outcomes, run, seed_arg, base_seed,
                     retries, backoff, on_error,
-                )
-            elif resolved == "process":
-                _run_processes(
-                    pending, outcomes, run, seed_arg, base_seed,
-                    jobs, timeout, retries, backoff, on_error,
                 )
             else:
                 _run_pool(

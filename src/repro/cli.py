@@ -987,7 +987,7 @@ def run_serve(argv: List[str]) -> int:
     )
     p.add_argument(
         "--workers-port", type=int, default=None, metavar="PORT",
-        help="listen for TCP workers instead of spawning local pipe workers "
+        help="listen for TCP workers instead of forking local workers "
         "(0 picks an ephemeral port; join with `python -m repro worker`)",
     )
     p.add_argument(
@@ -1126,7 +1126,7 @@ def run_serve(argv: List[str]) -> int:
                 print(f"worker fabric listening on {listen} "
                       f"({view['live']} live)")
             else:
-                print(f"local pipe pool ({view['live']} live)")
+                print(f"local forked workers ({view['live']} live)")
             for row in view["workers"]:
                 latency = row.get("heartbeat_latency_s")
                 beat = f"{latency * 1000:.1f}ms" if latency is not None else "-"
@@ -1178,7 +1178,7 @@ def run_worker_cli(argv: List[str]) -> int:
     """``python -m repro worker``: join a scheduler's TCP worker fabric.
 
     Dials the scheduler (``serve run --workers-port`` or a bare
-    :class:`~repro.sched.net.pool.RemoteWorkerPool`), registers under a
+    :class:`~repro.sched.pool.WorkerPool` given a port), registers under a
     stable name, and serves tasks until stopped, evicted, or out of
     reconnect budget.  See docs/DISTRIBUTED.md for the protocol and the
     exit-code contract.

@@ -3,7 +3,7 @@
 The simulator fault plans (:mod:`repro.faults.plan`) act on BSP message
 routing; this module is the same idea one layer down: faults that act on
 *protocol frames* crossing the wire between a
-:class:`~repro.sched.net.pool.RemoteWorkerPool` and its workers.  The
+:class:`~repro.sched.pool.WorkerPool` and its remote workers.  The
 injection point is the chaos proxy (:mod:`repro.sched.net.proxy`), which
 sits between the two and consults a :class:`NetFaultPlan` for every
 frame it forwards.

@@ -1,10 +1,11 @@
 """The network chaos harness: the TCP fabric vs injected link faults.
 
 Each :class:`NetChaosCase` boots a real fleet — a
-:class:`~repro.sched.net.pool.RemoteWorkerPool`, worker subprocesses,
-and (for the fault cases) a :class:`~repro.sched.net.proxy.ChaosProxy`
-between them — runs a fixed point set through it while the case's fault
-fires, and holds the run to two invariants:
+:class:`~repro.sched.pool.WorkerPool` listening on a port, remote worker
+subprocesses, and (for the fault cases) a
+:class:`~repro.sched.net.proxy.ChaosProxy` between them — runs a fixed
+point set through it while the case's fault fires, and holds the run to
+two invariants:
 
 * **zero lost tasks** — every submitted point resolves ``ok``; a lost
   or partitioned worker's in-flight points requeue and complete
@@ -53,9 +54,9 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.faults.harness import ChaosReport, ProbeResult
 from repro.faults.net import NetFault, NetFaultPlan
-from repro.sched.net.pool import RemoteWorkerPool
 from repro.sched.net.proxy import ChaosProxy
 from repro.sched.net.worker import spawn_local_workers
+from repro.sched.pool import WorkerPool
 
 __all__ = [
     "NetChaosCase",
@@ -122,7 +123,7 @@ def serial_reference(points: int) -> Dict[str, Dict[str, Any]]:
 
 
 def _drain_all(
-    pool: RemoteWorkerPool,
+    pool: WorkerPool,
     want: int,
     timeout: float,
     done: Optional[Dict[str, Any]] = None,
@@ -204,7 +205,7 @@ def _run_through_proxy(
     plan: NetFaultPlan,
     workers: int = 3,
     mid_run: Optional[
-        Callable[[RemoteWorkerPool, List[Any], Dict[str, Any]], str]
+        Callable[[WorkerPool, List[Any], Dict[str, Any]], str]
     ] = None,
     timeout: float = 30.0,
 ) -> str:
@@ -216,8 +217,9 @@ def _run_through_proxy(
     """
     reference = serial_reference(points)
     note = ""
-    with RemoteWorkerPool(
+    with WorkerPool(
         jobs=workers,
+        port=0,
         heartbeat_interval=HEARTBEAT_INTERVAL,
         heartbeat_timeout=HEARTBEAT_TIMEOUT,
     ) as pool:
@@ -293,12 +295,15 @@ def _case_reconnect(points: int, fault_log: Optional[str]) -> str:
 
 
 def _case_split_brain(points: int, fault_log: Optional[str]) -> str:
-    def usurp(pool: RemoteWorkerPool, procs: List[Any], done: Dict[str, Any]) -> str:
+    def usurp(pool: WorkerPool, procs: List[Any], done: Dict[str, Any]) -> str:
         # A second worker claims a live name (connecting straight to the
         # pool — the split is about identity, not the link): the older
         # registration must be evicted and its in-flight point salvaged.
-        victim = pool.registry.live()[0].name
-        procs.extend(_spawn_named(pool.address, victim))
+        prefix = "split-brain-registration-w"
+        victim = f"{prefix}-0"
+        procs.extend(spawn_local_workers(
+            pool.address, 1, name_prefix=prefix, connect_timeout=1.0,
+        ))
         deadline = time.monotonic() + 10.0
         while True:
             for event in pool.events(wait=0.1):
@@ -316,28 +321,8 @@ def _case_split_brain(points: int, fault_log: Optional[str]) -> str:
     return note
 
 
-def _spawn_named(address: Any, name: str) -> List[Any]:
-    host, port = address
-    import subprocess
-    import sys
-
-    from repro.sched.net import worker as worker_mod
-
-    code = (
-        "import sys; from repro.sched.net.worker import run_worker; "
-        f"sys.exit(run_worker({host!r}, {port}, name={name!r}, "
-        "reconnect=True, connect_timeout=1.0))"
-    )
-    import os
-    env = dict(os.environ)
-    src = os.path.dirname(os.path.dirname(os.path.dirname(os.path.dirname(
-        os.path.abspath(worker_mod.__file__)))))
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    return [subprocess.Popen([sys.executable, "-c", code], env=env)]
-
-
 def _case_sigkill(points: int, fault_log: Optional[str]) -> str:
-    def kill_one(pool: RemoteWorkerPool, procs: List[Any], done: Dict[str, Any]) -> str:
+    def kill_one(pool: WorkerPool, procs: List[Any], done: Dict[str, Any]) -> str:
         procs[0].kill()
         return "SIGKILLed 1 worker"
 
@@ -368,8 +353,9 @@ def _case_sigkill_plus_partition(points: int, fault_log: Optional[str]) -> str:
     plan = NetFaultPlan(label="sigkill-plus-partition")
     with tempfile.TemporaryDirectory(prefix="chaos-net-store-") as root:
         store = ResultStore(root)
-        with RemoteWorkerPool(
+        with WorkerPool(
             jobs=3,
+            port=0,
             heartbeat_interval=HEARTBEAT_INTERVAL,
             heartbeat_timeout=HEARTBEAT_TIMEOUT,
         ) as pool:

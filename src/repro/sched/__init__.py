@@ -5,11 +5,13 @@ Section 8 suite means thousands of independent simulation points — and
 the chaos/adversary gates multiply that again.  This package turns those
 runs from per-driver scripts into a small execution service:
 
-* :mod:`repro.sched.pool` — :class:`~repro.sched.pool.WorkerPool`, a
-  persistent pool of warm worker processes: import :mod:`repro` once,
-  then stream pickled tasks, with crash isolation, watchdog timeouts and
-  worker recycling (process-per-point is the ``max_tasks_per_worker=1``
-  corner case).
+* :mod:`repro.sched.pool` — :class:`~repro.sched.pool.WorkerPool`, the
+  one pool of warm worker processes: import :mod:`repro` once, then
+  stream pickled tasks over the frames of :mod:`repro.sched.net`.
+  Without a port it forks local workers over socketpairs (a lost one is
+  a crash at once); with one it serves remote ``python -m repro
+  worker`` processes over TCP (a lost one's task requeues).  Both get
+  watchdog timeouts, and local workers are recycled.
 * :mod:`repro.sched.store` — :class:`~repro.sched.store.ResultStore`, a
   content-addressed outcome store keyed by SHA-256 of (task spec,
   code-relevant version), with atomic writes, schema-validated reads,
@@ -49,7 +51,7 @@ from repro.sched.campaign import (
     campaign_status,
     run_campaign,
 )
-from repro.sched.pool import DEFAULT_MAX_TASKS_PER_WORKER, PoolEvent, WorkerPool
+from repro.sched.pool import MAX_TASKS_PER_WORKER, PoolEvent, WorkerPool
 from repro.sched.store import (
     ResultStore,
     StoreStats,
@@ -69,7 +71,7 @@ from repro.sched.tenancy import (
 __all__ = [
     "WorkerPool",
     "PoolEvent",
-    "DEFAULT_MAX_TASKS_PER_WORKER",
+    "MAX_TASKS_PER_WORKER",
     "ResultStore",
     "StoreStats",
     "content_key",

@@ -561,8 +561,9 @@ def run_campaign(
     """Execute ``campaign`` on a warm pool, persisting outcomes to ``store``.
 
     Pass an existing ``pool`` to share workers across campaigns (it is not
-    shut down); otherwise one is created with ``jobs`` workers and torn
-    down at the end.  ``progress`` (e.g. ``print``) receives one line per
+    shut down) — forked local workers or remote ones behind a port alike;
+    otherwise one is created with ``jobs`` forked workers and torn down
+    at the end.  ``progress`` (e.g. ``print``) receives one line per
     task state change.  ``trace_path`` writes the Chrome trace when the
     campaign finishes (see docs/SCHEDULER.md) — the scheduler lane, plus,
     when metrics were on, the metrics counter lane and one phase-cost row

@@ -1,21 +1,21 @@
-"""Multi-host worker fabric: the warm pool over TCP.
+"""The worker wire: frames, the worker loop, and remote registration.
 
-:class:`~repro.sched.net.pool.RemoteWorkerPool` speaks a length-prefixed
-pickle frame protocol (:mod:`repro.sched.net.frames`) to remote worker
-processes (:mod:`repro.sched.net.worker`) that register with the
-scheduler and heartbeat for liveness (:mod:`repro.sched.net.registry`).
-The pool exposes exactly the :class:`~repro.sched.pool.WorkerPool`
-surface — ``submit`` / ``events`` / ``in_flight`` / ``stats`` — so
-:func:`~repro.sched.campaign.run_campaign` and
-:class:`~repro.sched.tenancy.FairShareMultiplexer` drive it unchanged.
+:class:`~repro.sched.pool.WorkerPool` is the one pool; this package is
+everything its workers share.  Every worker — forked locally over a
+socketpair, or dialling in over TCP from another host — speaks the
+length-prefixed pickle frames of :mod:`repro.sched.net.frames` and runs
+the one serve loop of :mod:`repro.sched.net.worker`.  Remote workers
+register by name and heartbeat for liveness
+(:mod:`repro.sched.net.registry`).
 
-Failure semantics (docs/DISTRIBUTED.md): a lost or partitioned worker is
-handled exactly like a crashed one.  Its in-flight task requeues with
-bounded exponential backoff; only when the delivery budget is exhausted
-does the caller see a ``"crash"`` event and its own retry policy take
-over.  The content-addressed :class:`~repro.sched.store.ResultStore` is
-the shared cross-host cache, so any host's completed point is served
-everywhere.  :mod:`repro.sched.net.proxy` is the chaos shim that injects
+Failure semantics (docs/DISTRIBUTED.md): a lost or partitioned remote
+worker's in-flight task requeues with bounded exponential backoff; only
+when its delivery budget is exhausted does the caller see a ``"crash"``
+event and its own retry policy take over.  A local worker cannot be
+partitioned, so its loss is a ``"crash"`` at once.  The
+content-addressed :class:`~repro.sched.store.ResultStore` is the shared
+cross-host cache, so any host's completed point is served everywhere.
+:mod:`repro.sched.net.proxy` is the chaos shim that injects
 :mod:`repro.faults.net` frame-level network faults between the two.
 """
 
@@ -27,7 +27,6 @@ from repro.sched.net.frames import (
     recv_frame,
     send_frame,
 )
-from repro.sched.net.pool import RemoteWorkerPool
 from repro.sched.net.registry import WorkerInfo, WorkerRegistry
 from repro.sched.net.worker import run_worker, spawn_local_workers
 
@@ -38,7 +37,6 @@ __all__ = [
     "frame_type",
     "recv_frame",
     "send_frame",
-    "RemoteWorkerPool",
     "WorkerInfo",
     "WorkerRegistry",
     "run_worker",

@@ -1,29 +1,31 @@
-"""Length-prefixed pickle framing for the TCP worker protocol.
+"""Length-prefixed pickle framing: the one worker protocol.
 
 One frame = a 4-byte big-endian payload length followed by a pickled
-tuple whose first element names the frame type.  The task/result frames
-carry exactly the message schema the duplex-pipe pool uses
-(:mod:`repro.sched.pool`), so a task neither knows nor cares whether it
-crossed a pipe or a socket:
+tuple whose first element names the frame type.  Every worker speaks
+it — a forked local worker over its socketpair, a remote worker over
+TCP — so a task neither knows nor cares where it runs:
 
 ==========  =========  =================================================
 frame       direction  payload
 ==========  =========  =================================================
-``hello``   w -> s     ``("hello", name, meta)`` — register; ``meta``
-                       carries ``pid``/``host`` for the fleet view
+``hello``   w -> s     ``("hello", name, meta)`` — register (remote
+                       workers); ``meta`` carries ``pid``/``host`` for
+                       the fleet view
 ``welcome`` s -> w     ``("welcome", worker_id, generation)``
 ``evict``   s -> w     ``("evict", reason)`` — a newer registration with
                        the same name superseded this connection
-``task``    s -> w     ``("task", key, fn, kwargs[, trace])`` — the pipe
-                       schema; ``trace`` (optional 5th field) is the
-                       dispatching span's ``{"trace_id", "span_id"}``
-                       context, present only on traced runs
-``ok``      w -> s     ``("ok", key, value, wall[, spans])`` — the pipe
-                       schema; ``spans`` (optional 5th field) carries
-                       the worker's finished ``repro.trace/1`` span
-                       dicts back for the scheduler-side sink
+``task``    s -> w     ``("task", key, call[, trace])`` — ``call`` is
+                       ``pickle.dumps((fn, kwargs))``, unpickled by the
+                       worker's task thread; ``trace`` (optional 4th
+                       field) is the dispatching span's
+                       ``{"trace_id", "span_id"}`` context, present only
+                       on traced runs
+``ok``      w -> s     ``("ok", key, value, wall[, spans])`` — ``spans``
+                       (optional 5th field) carries the worker's finished
+                       ``repro.trace/1`` span dicts back for the
+                       scheduler-side sink
 ``error``   w -> s     ``("error", key, "Type: message", wall[, spans])``
-``ping``    s -> w     ``("ping", seq, t_mono)`` — scheduler heartbeat
+``ping``    s -> w     ``("ping", seq, t_mono)`` — heartbeat (remote)
 ``pong``    w -> s     ``("pong", seq, t_mono)`` — echo of the ping
 ``stop``    s -> w     ``("stop",)`` — drain and exit
 ==========  =========  =================================================

@@ -1,8 +1,8 @@
 """The chaos proxy: a TCP shim that injects frame-level network faults.
 
 ``ChaosProxy`` listens on its own port; workers dial *it* instead of the
-scheduler, and it dials the real :class:`~repro.sched.net.pool.\
-RemoteWorkerPool` upstream.  Each worker connection becomes a *link*
+scheduler, and it dials the real :class:`~repro.sched.pool.WorkerPool`
+port upstream.  Each worker connection becomes a *link*
 with two pump threads (``c2s`` worker->scheduler, ``s2c`` back).  A pump
 reads one whole frame at a time (:func:`~repro.sched.net.frames.\
 recv_frame_bytes` — the length-prefixed payload, forwarded verbatim so

@@ -45,13 +45,18 @@ WORKER_STATES = ("live", "lost", "evicted", "stopped")
 
 
 class WorkerInfo:
-    """One registered remote worker, as the scheduler sees it."""
+    """One pool worker, as the scheduler sees it.
+
+    Remote workers register through :class:`WorkerRegistry`; a worker
+    the pool forked itself carries its ``multiprocessing`` process in
+    ``proc``, has no address, and reports ``transport: "pipe"``.
+    """
 
     __slots__ = (
         "id", "name", "conn", "addr", "meta", "generation", "state",
         "registered_at", "registered_wall", "last_pong", "ping_seq",
         "ping_sent", "last_latency", "tasks_done", "current", "deadline",
-        "started",
+        "started", "proc",
     )
 
     def __init__(
@@ -59,9 +64,10 @@ class WorkerInfo:
         wid: int,
         name: str,
         conn: Any,
-        addr: Tuple[str, int],
+        addr: Optional[Tuple[str, int]],
         meta: Dict[str, Any],
         generation: int,
+        proc: Optional[Any] = None,
     ) -> None:
         now = time.monotonic()
         self.id = wid
@@ -79,9 +85,10 @@ class WorkerInfo:
         self.ping_sent: Optional[Tuple[int, float]] = None
         self.last_latency: Optional[float] = None
         self.tasks_done = 0
-        self.current: Optional[Any] = None  # the pool's _NetTask
+        self.current: Optional[Any] = None  # the pool's _Task
         self.deadline = float("inf")        # current task's watchdog deadline
         self.started = 0.0
+        self.proc = proc                    # forked local worker, else None
 
     @property
     def busy(self) -> bool:
@@ -89,19 +96,20 @@ class WorkerInfo:
 
     def to_row(self) -> Dict[str, Any]:
         """The fleet-view row (``GET /v1/workers``, ``serve workers``)."""
+        local = self.proc is not None
         return {
             "id": self.id,
             "name": self.name,
             "state": self.state,
             "generation": self.generation,
-            "addr": f"{self.addr[0]}:{self.addr[1]}",
+            "addr": None if local else f"{self.addr[0]}:{self.addr[1]}",
             "pid": self.meta.get("pid"),
             "host": self.meta.get("host"),
             "tasks_done": self.tasks_done,
             "current": getattr(self.current, "key", None),
-            "registered": self.registered_wall,
+            "registered": None if local else self.registered_wall,
             "heartbeat_latency_s": self.last_latency,
-            "transport": "tcp",
+            "transport": "pipe" if local else "tcp",
         }
 
 

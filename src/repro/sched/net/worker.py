@@ -1,165 +1,200 @@
-"""The remote worker process: connect, register, serve tasks, heartbeat.
+"""The worker process: one serve loop for forked local and remote workers.
 
-``run_worker`` is the whole lifecycle: dial the scheduler, introduce
-itself with a ``hello`` (name + pid/host meta), then serve ``task``
-frames with the same ``fn(**kwargs)`` -> ``("ok"|"error", key, payload,
-wall)`` contract the pipe workers honour.  Tasks execute on a side
-thread so the serve loop keeps answering ``ping`` frames while a task
-runs — a busy worker must still prove liveness, otherwise every long
-task would read as a partition.  On traced runs
-(:mod:`repro.obs.tracing`), the task frame's optional 5th field carries
-the dispatching span's context; the runner opens an ``exec`` span under
-it and ships the finished span back on the result frame, so one
-``trace_id`` survives the hop — and any requeue — across hosts.
+:func:`serve` is the whole task protocol a worker speaks, over any
+connected socket: read ``task`` frames, run ``fn(**kwargs)``, answer
+``("ok"|"error", key, payload, wall)``.  Two kinds of process run it:
 
-Connection loss triggers reconnect with bounded exponential backoff
-under the *same name*: the scheduler's registry recognises the name and
-bumps its generation, so the fleet view shows one worker that
-reconnected rather than a parade of strangers.  Two exits are final:
-``stop`` (clean shutdown, exit 0) and ``evict`` (a newer registration
-took this worker's name, exit 3) — an evicted worker reconnecting would
-just re-evict its successor and flap forever.
+* **Forked local workers** — :class:`~repro.sched.pool.WorkerPool`
+  without a port forks them with :mod:`multiprocessing` and hands each
+  one end of a ``socket.socketpair()``; :func:`run_forked_worker` is
+  their entry point.
+* **Remote workers** — :func:`run_worker` (``python -m repro worker``)
+  dials a pool's TCP port, introduces itself with a ``hello`` (name +
+  pid/host meta), then serves the same loop.
+
+Tasks execute on a side thread so the loop keeps answering ``ping``
+frames while a task runs — a busy remote worker must still prove
+liveness, otherwise every long task would read as a partition.  The
+task's callable travels pickled inside the task frame and is unpickled
+on that thread, so a task the worker cannot load (a function from a
+module missing on this host) and a result that will not pickle both come
+back as ``error`` replies instead of costing the worker its link.  On
+traced runs (:mod:`repro.obs.tracing`), the task frame's optional 4th
+field carries the dispatching span's context; the runner opens an
+``exec`` span under it and ships the finished span back on the result
+frame, so one ``trace_id`` survives the hop — and any requeue — across
+hosts.
+
+A remote worker whose connection drops reconnects with bounded
+exponential backoff under the *same name*: the scheduler's registry
+recognises the name and bumps its generation, so the fleet view shows
+one worker that reconnected rather than a parade of strangers.  Two
+exits are final: ``stop`` (clean shutdown, exit 0) and ``evict`` (a
+newer registration took this worker's name, exit 3) — an evicted worker
+reconnecting would just re-evict its successor and flap forever.
 
 Duplicated ``task`` frames (chaos ``duplicate`` faults) are queued and
 served in order; the scheduler matches results against its current
 assignment and drops stale ones, so at-least-once delivery is safe.
 
-``spawn_local_workers`` boots N of these as subprocesses against a
-local pool — the simulated multi-host fleet the chaos harness, the CI
+``spawn_local_workers`` boots N remote workers as subprocesses against a
+pool's port — the simulated multi-host fleet the chaos harness, the CI
 ``chaos-net`` job, and the 1/2/4-host benchmark legs all stand on.
 """
 
 from __future__ import annotations
 
+import collections
 import os
-import select
+import pickle
+import queue
+import selectors
 import socket
+import stat
 import subprocess
 import sys
 import threading
 import time
-from typing import Any, List, Optional, Tuple
+from typing import Any, Deque, List, Optional, Tuple
 
 from repro.obs import tracing as _tracing
 from repro.sched.net.frames import (
     ConnectionClosed,
     FrameError,
     enable_nodelay,
+    encode_frame,
     recv_frame,
     send_frame,
 )
 
-__all__ = ["run_worker", "spawn_local_workers", "EXIT_STOPPED", "EXIT_LOST", "EXIT_EVICTED"]
+__all__ = [
+    "serve",
+    "run_worker",
+    "run_forked_worker",
+    "spawn_local_workers",
+    "EXIT_STOPPED",
+    "EXIT_LOST",
+    "EXIT_EVICTED",
+]
 
 EXIT_STOPPED = 0   #: scheduler sent ``stop``
 EXIT_LOST = 1      #: connection lost and reconnect budget exhausted
 EXIT_EVICTED = 3   #: a newer registration superseded this name
 
+#: Redial backoff of a remote worker: attempt ``k`` waits
+#: ``min(REDIAL_BACKOFF_BASE * 2**(k-1), REDIAL_BACKOFF_MAX)`` seconds.
+REDIAL_BACKOFF_BASE = 0.1
+REDIAL_BACKOFF_MAX = 2.0
+
+
+def _encode_reply(frame: Tuple[Any, ...]) -> bytes:
+    """Wire bytes of a result frame; an unsendable value becomes an error."""
+    try:
+        return encode_frame(frame)
+    except Exception as exc:
+        # The value would not pickle (or overflows the frame cap): report
+        # it as the task's error rather than losing the link with the
+        # task in flight.
+        return encode_frame(
+            ("error", frame[1], f"result not sendable: {exc}") + frame[3:]
+        )
+
 
 class _Runner(threading.Thread):
-    """Executes one task off the serve loop; leaves the reply in ``frame``.
+    """Runs one connection's tasks in arrival order, off the serve loop.
 
-    ``wake`` is the serve loop's self-pipe: one byte on completion makes
-    its ``select`` return immediately instead of on the next poll tick,
-    which keeps per-task latency at the network RTT rather than the poll
-    interval (the difference between 2x and near-linear host scaling in
-    ``benchmarks/bench_sched.py``).
+    The serve loop puts ``(key, call[, trace])`` tuples on ``tasks`` and
+    ``None`` to stop; each finished task's encoded reply lands in
+    ``replies``.  One byte on the ``wake`` pipe then makes the loop's
+    ``select`` return at once, which keeps per-task latency at the link
+    RTT rather than a poll tick (the difference between 2x and
+    near-linear host scaling in ``benchmarks/bench_sched.py``).  The
+    runner owns the pipe's write end and closes it when it stops, so a
+    task still running after its connection died can never write into a
+    reused descriptor.
     """
 
-    def __init__(self, key: str, fn: Any, kwargs: dict,
-                 wake: Optional[socket.socket] = None,
-                 trace: Optional[dict] = None) -> None:
-        super().__init__(daemon=True, name=f"repro-net-task-{key}")
-        self.key = key
-        self.fn = fn
-        self.kwargs = kwargs
-        self.trace = trace
-        self.frame: Optional[Tuple[Any, ...]] = None
+    def __init__(self, transport: str, wake: int) -> None:
+        super().__init__(daemon=True, name="repro-task-runner")
+        self.transport = transport
+        self.tasks: "queue.SimpleQueue[Optional[Tuple[Any, ...]]]" = queue.SimpleQueue()
+        self.replies: Deque[bytes] = collections.deque()
         self._wake = wake
 
     def run(self) -> None:
+        try:
+            for task in iter(self.tasks.get, None):
+                self.replies.append(self._execute(*task))
+                try:
+                    os.write(self._wake, b"\0")
+                except OSError:
+                    pass  # serve loop already gone; the reply is moot
+        finally:
+            os.close(self._wake)
+
+    def _execute(self, key: str, call: bytes, trace: Optional[dict] = None) -> bytes:
         # Trace context rode in on the task frame: open an "exec" span
         # under it and activate it on *this* thread (explicit handoff —
         # the serve loop's context must not leak across tasks), so
         # PhaseCostRecords built by the task stamp the right span.
         span = None
-        if self.trace is not None and _tracing.TRACER.enabled:
+        if trace is not None and _tracing.TRACER.enabled:
             span = _tracing.TRACER.start_span(
-                self.key, kind="exec",
-                parent=_tracing.SpanContext.from_dict(self.trace),
-                attrs={"key": self.key, "transport": "tcp"},
+                key, kind="exec",
+                parent=_tracing.SpanContext.from_dict(trace),
+                attrs={"key": key, "transport": self.transport},
             )
             _tracing.TRACER.activate(None if span is None else span.context)
-        start = time.monotonic()
+        start = time.perf_counter()
         try:
-            value = self.fn(**self.kwargs)
-            self.frame = ("ok", self.key, value, time.monotonic() - start)
-        except BaseException as exc:  # mirror the pipe worker: report, don't die
-            self.frame = (
-                "error", self.key,
-                f"{type(exc).__name__}: {exc}",
-                time.monotonic() - start,
+            fn, kwargs = pickle.loads(call)
+            frame: Tuple[Any, ...] = (
+                "ok", key, fn(**kwargs), time.perf_counter() - start,
             )
-        finally:
-            if span is not None:
-                _tracing.TRACER.activate(None)
-                _tracing.TRACER.finish(
-                    span,
-                    status="ok" if self.frame and self.frame[0] == "ok" else "error",
-                )
-                self.frame = self.frame + ([span.to_dict()],)
-            if self._wake is not None:
-                try:
-                    self._wake.send(b"\0")
-                except OSError:
-                    pass  # serve loop already gone; exit code covers it
+        except BaseException as exc:  # report, don't die
+            frame = (
+                "error", key, f"{type(exc).__name__}: {exc}",
+                time.perf_counter() - start,
+            )
+        if span is not None:
+            _tracing.TRACER.activate(None)
+            _tracing.TRACER.finish(
+                span, status="ok" if frame[0] == "ok" else "error"
+            )
+            frame = frame + ([span.to_dict()],)
+        return _encode_reply(frame)
 
 
-def _serve(sock: socket.socket) -> int:
-    """Serve one registered connection until stop/evict/loss.
+def serve(sock: socket.socket, transport: str = "tcp") -> int:
+    """Serve tasks on one connected socket until stop/evict/loss.
 
     Returns an ``EXIT_*`` code for terminal frames; raises
-    :class:`ConnectionClosed` (or ``OSError``) when the link dies and
-    the caller should consider reconnecting.
+    :class:`ConnectionClosed` (or ``OSError``) when the link dies.
+    ``transport`` labels the worker's ``exec`` spans (``"pipe"`` for a
+    forked local worker, ``"tcp"`` for a remote one).
     """
-    runner: Optional[_Runner] = None
-    inbox: List[Tuple[Any, ...]] = []
-    wake_r, wake_w = socket.socketpair()
+    # A pipe, not a socketpair: the worker's only socket stays its link.
+    # A selector, not select.select: a forked worker keeps the socketpair
+    # fd number its parent gave it, which may be above FD_SETSIZE.
+    wake_r, wake_w = os.pipe()
+    runner = _Runner(transport, wake_w)
+    runner.start()
+    sel = selectors.DefaultSelector()
+    sel.register(sock, selectors.EVENT_READ)
+    sel.register(wake_r, selectors.EVENT_READ)
     try:
         while True:
-            # The reply is ready once ``frame`` is set — the runner may
-            # still be mid-teardown (it wakes us from its ``finally``, a
-            # beat before ``is_alive()`` flips), and waiting for thread
-            # death here would eat the wake-up and stall a full poll tick.
-            if runner is not None and (
-                runner.frame is not None or not runner.is_alive()
-            ):
-                if runner.frame is not None:
-                    send_frame(sock, runner.frame)
-                runner = None
-            if runner is None and inbox:
-                queued = inbox.pop(0)
-                runner = _Runner(
-                    queued[1], queued[2], dict(queued[3]), wake=wake_w,
-                    trace=queued[4] if len(queued) > 4 else None,
-                )
-                runner.start()
-            readable, _, _ = select.select([sock, wake_r], [], [], 0.05)
+            readable = {key.fileobj for key, _ in sel.select()}
             if wake_r in readable:
-                wake_r.recv(64)  # drain; the loop top reaps the runner
+                os.read(wake_r, 4096)
+                while runner.replies:
+                    sock.sendall(runner.replies.popleft())
             if sock not in readable:
                 continue
             frame = recv_frame(sock)
             kind = frame[0]
             if kind == "task":
-                if runner is None:
-                    runner = _Runner(
-                        frame[1], frame[2], dict(frame[3]), wake=wake_w,
-                        trace=frame[4] if len(frame) > 4 else None,
-                    )
-                    runner.start()
-                else:
-                    inbox.append(frame)
+                runner.tasks.put(frame[1:])
             elif kind == "ping":
                 send_frame(sock, ("pong", frame[1], frame[2]))
             elif kind == "stop":
@@ -168,8 +203,49 @@ def _serve(sock: socket.socket) -> int:
                 return EXIT_EVICTED
             # Anything else (a duplicated welcome, say) is noise; ignore it.
     finally:
-        wake_r.close()
-        wake_w.close()
+        sel.close()
+        runner.tasks.put(None)  # the runner closes wake_w once it stops
+        os.close(wake_r)
+
+
+def _close_inherited_sockets(keep_fd: int) -> None:
+    """Close every socket fd a ``fork`` copied into this worker.
+
+    A forked worker inherits whatever sockets its parent held open — an
+    HTTP listen socket, accepted SSE connections, its siblings' links,
+    the pool's wake pipe.  The copies keep those connections
+    half-alive: the parent closing its end no longer sends a FIN, so a
+    peer writing to a "closed" socket never sees an error (the serve
+    disconnect probe), and a killed server's port stays bound by its own
+    workers.  Workers are compute-only; their end of the socketpair is
+    the one socket they need.
+    """
+    try:
+        fds = [int(name) for name in os.listdir("/proc/self/fd")]
+    except (FileNotFoundError, NotADirectoryError, OSError):
+        return  # no /proc (macOS): inherited sockets stay open, as before
+    for fd in fds:
+        if fd < 3 or fd == keep_fd:
+            continue
+        try:
+            if stat.S_ISSOCK(os.fstat(fd).st_mode):
+                os.close(fd)
+        except OSError:
+            continue
+
+
+def run_forked_worker(sock: socket.socket) -> None:
+    """Entry point of a worker the pool forked: serve its socketpair end."""
+    _close_inherited_sockets(sock.fileno())
+    # A forked worker inherits the scheduler's trace sink; exec spans
+    # already ship home in replies, so writing here would double them.
+    _tracing.TRACER.detach_sink()
+    try:
+        serve(sock, transport="pipe")
+    except (FrameError, OSError):
+        pass  # the pool closed its end or died: nothing left to serve
+    finally:
+        sock.close()
 
 
 def run_worker(
@@ -178,8 +254,6 @@ def run_worker(
     name: Optional[str] = None,
     reconnect: bool = True,
     max_reconnects: Optional[int] = None,
-    backoff_base: float = 0.1,
-    backoff_max: float = 2.0,
     connect_timeout: float = 5.0,
 ) -> int:
     """Serve tasks from the scheduler at ``(host, port)`` until told to stop.
@@ -208,14 +282,15 @@ def run_worker(
                 raise FrameError(f"expected welcome, got {welcome[0]!r}")
             sock.settimeout(30.0)  # frame reads are select-gated; backstop only
             attempts = 0  # a successful registration resets the redial budget
-            return _serve(sock)
+            return serve(sock)
         except (ConnectionClosed, FrameError, OSError, socket.timeout):
             attempts += 1
             if not reconnect or (
                 max_reconnects is not None and attempts > max_reconnects
             ):
                 return EXIT_LOST
-            time.sleep(min(backoff_base * (2 ** (attempts - 1)), backoff_max))
+            time.sleep(min(REDIAL_BACKOFF_BASE * (2 ** (attempts - 1)),
+                           REDIAL_BACKOFF_MAX))
         finally:
             if sock is not None:
                 try:
@@ -231,7 +306,7 @@ def spawn_local_workers(
     reconnect: bool = True,
     connect_timeout: float = 5.0,
 ) -> List[subprocess.Popen]:
-    """Boot ``count`` worker subprocesses dialling ``address``.
+    """Boot ``count`` remote-worker subprocesses dialling ``address``.
 
     The simulated multi-host fleet: each worker is a real OS process
     with its own interpreter, named ``{name_prefix}-{i}``.  Returns the

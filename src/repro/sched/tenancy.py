@@ -31,6 +31,11 @@ rest.  This module is that scheduling layer:
   executing for another job waits for that execution instead of running
   twice, and completes as ``"cached"`` when the owner stores the result.
   If the owner fails, waiters are requeued to execute it themselves.
+* **Light history** — every job stays queryable, but only the newest
+  ``DETAILED_JOBS`` finished jobs keep their per-task state; older ones
+  are released down to what their job view shows, so a long-running
+  service's memory grows by a few hundred bytes per job it serves, not
+  by the campaign's whole execution state.
 * **Cancellation** — cancelling a job stops dispatching its tasks and
   lets in-flight ones drain *into the store* (an abandoned result is
   still a resume hit), then classifies the rest ``pending`` — the same
@@ -40,16 +45,18 @@ rest.  This module is that scheduling layer:
 The multiplexer is single-threaded by design: all pool interaction
 happens inside :meth:`FairShareMultiplexer.step`, which one scheduler
 thread calls in a loop.  Submissions and cancellations may arrive from
-other threads (HTTP handlers); a lock guards the shared job tables, and
-the blocking ``pool.events`` wait happens outside it.
+other threads (HTTP handlers); a lock guards the shared job tables, the
+blocking ``pool.events`` wait happens outside it, and each submission
+or cancellation calls ``pool.wake()`` so that wait ends at once.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, Mapping, Optional, Tuple
 
 from repro.obs import metrics as _metrics
 from repro.obs import tracing as _tracing
@@ -71,6 +78,11 @@ JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
 
 #: States from which a job can never move again.
 _TERMINAL = ("done", "failed", "cancelled")
+
+#: Finished jobs that keep their per-task state (campaign, execution,
+#: spans); older finished jobs are released (:meth:`JobRecord.release`)
+#: and keep only what their job view shows.
+DETAILED_JOBS = 256
 
 
 @dataclass(frozen=True)
@@ -122,13 +134,15 @@ class JobRecord:
 
     ``state`` walks :data:`JOB_STATES`; timestamps are epoch seconds
     (0.0 until reached).  ``spans`` is filled by :meth:`finish` once the
-    job reaches a terminal state.
+    job reaches a terminal state.  A released job (see :meth:`release`)
+    has ``campaign``, ``execution`` and ``spans`` dropped; its name,
+    size, counts and everything else its view shows stay.
     """
 
     id: str
     tenant: str
-    campaign: Campaign
-    execution: CampaignExecution
+    campaign: Optional[Campaign]
+    execution: Optional[CampaignExecution]
     state: str = "queued"
     # wallclock(), not time.time(): job timestamps feed duration math in
     # views and snapshots, and a wall-clock step mid-job must not make a
@@ -143,10 +157,31 @@ class JobRecord:
     spans: Tuple[TaskSpan, ...] = ()
     #: Pool task names currently executing (or parked on a dedup wait).
     waiting_on: Dict[str, str] = field(default_factory=dict)  # task -> owner key
+    #: The campaign's name and task count, kept after :meth:`release`.
+    campaign_name: str = field(init=False)
+    task_count: int = field(init=False)
+    #: Task counts frozen by :meth:`release` (None while not released).
+    released_counts: Optional[Dict[str, int]] = field(init=False, default=None)
+
+    def __post_init__(self) -> None:
+        self.campaign_name = self.campaign.name
+        self.task_count = len(self.campaign.tasks)
 
     @property
     def terminal(self) -> bool:
         return self.state in _TERMINAL
+
+    def release(self) -> None:
+        """Drop a finished job's per-task state; its view stays the same.
+
+        For a table1 job the campaign, execution and spans hold about
+        128 KB; what :func:`~repro.serve.contracts.job_view` reads holds
+        a few hundred bytes.
+        """
+        self.released_counts = self.counts()
+        self.campaign = None
+        self.execution = None
+        self.spans = ()
 
     def counts(self) -> Dict[str, int]:
         """Per-status task counts: frozen spans when terminal, live otherwise.
@@ -155,6 +190,8 @@ class JobRecord:
         dedup wait) and ``pending`` (not yet dispatched), so the sum
         always equals the campaign size.
         """
+        if self.released_counts is not None:
+            return dict(self.released_counts)
         if self.spans:
             out: Dict[str, int] = {}
             for span in self.spans:
@@ -164,7 +201,7 @@ class JobRecord:
         running = len(self.execution.in_flight)
         if running:
             out["running"] = running
-        remaining = len(self.campaign.tasks) - sum(out.values())
+        remaining = self.task_count - sum(out.values())
         if remaining > 0:
             out["pending"] = remaining
         return out
@@ -221,6 +258,8 @@ class FairShareMultiplexer:
         self._tenant_inflight: Dict[str, int] = {}
         #: Jobs that reached a terminal state since the last step() drain.
         self._newly_finished: List[JobRecord] = []
+        #: Finished jobs not yet released, oldest first.
+        self._detailed: Deque[JobRecord] = collections.deque()
         #: job id -> live "job" span; (job id, task) -> live "task" span.
         #: Task spans survive retries (one span per task, attempts noted
         #: as an attribute) and are finished in _collect/_finish.
@@ -294,7 +333,8 @@ class FairShareMultiplexer:
                 _metrics.REGISTRY.counter(
                     "repro_serve_jobs_total", "job submissions by tenant"
                 ).inc(tenant=tenant)
-            return job
+        self.pool.wake()  # admit it now, not after the scheduler's wait
+        return job
 
     def cancel(self, job_id: str) -> Optional[JobRecord]:
         """Stop dispatching ``job_id``'s tasks; returns the job (or None).
@@ -311,11 +351,21 @@ class FairShareMultiplexer:
                 self._finish(job, "cancelled")
             else:
                 job.state = "cancelled"  # drains in _collect, finishes there
-            return job
+        self.pool.wake()
+        return job
 
     def job(self, job_id: str) -> Optional[JobRecord]:
         with self._lock:
             return self._jobs.get(job_id)
+
+    def view(self, job: JobRecord, render: Callable[[JobRecord], Any]) -> Tuple[Any, bool]:
+        """``(render(job), job.terminal)`` read in one hold of the lock.
+
+        Every job transition happens under the same lock, so the rendered
+        view and the terminal flag always describe the same state.
+        """
+        with self._lock:
+            return render(job), job.terminal
 
     def jobs(self, tenant: Optional[str] = None) -> List[JobRecord]:
         with self._lock:
@@ -340,22 +390,19 @@ class FairShareMultiplexer:
         """One scheduling iteration; returns jobs whose state changed.
 
         Activates queued jobs, dispatches fair-share, waits up to
-        ``wait`` seconds for pool completions, folds them in, and
-        finishes drained jobs.  Call in a loop from a single thread.
+        ``wait`` seconds for pool completions (or a ``pool.wake()``),
+        folds them in, and finishes drained jobs.  Call in a loop from a
+        single thread.
         """
         changed: List[JobRecord] = []
         with self._lock:
             self._activate(changed)
             self._dispatch()
-            busy = self.pool.in_flight > 0
         # The blocking wait happens outside the lock so submissions and
-        # cancellations from HTTP threads never stall behind it.  Pools
-        # that ask to be polled while idle (RemoteWorkerPool: accepting
-        # registrations, heartbeating) are polled regardless of load.
-        if busy or getattr(self.pool, "needs_poll", False):
-            events = self.pool.events(wait=wait)
-        else:
-            events = []
+        # cancellations from HTTP threads never stall behind it; they
+        # wake the pool, so an idle scheduler sleeps here instead of
+        # spinning and still admits a new job at once.
+        events = self.pool.events(wait=wait)
         with self._lock:
             self._collect(events)
             self._dispatch()  # completions freed slots and unlocked deps
@@ -481,7 +528,8 @@ class FairShareMultiplexer:
         for event in events:
             job_id, _, name = event.key.partition("/")
             job = self._jobs.get(job_id)
-            if job is None or name not in (job.execution.tasks if job else ()):
+            if (job is None or job.execution is None
+                    or name not in job.execution.tasks):
                 continue  # a shared pool's stale leftovers
             self._tenant_inflight[job.tenant] = max(
                 0, self._tenant_inflight.get(job.tenant, 0) - 1
@@ -530,7 +578,7 @@ class FairShareMultiplexer:
     def _resolve_waiters(self, key: str, outcome: Dict[str, Any]) -> None:
         for waiter_id, waiter_name in self._waiters.pop(key, ()):
             waiter = self._jobs.get(waiter_id)
-            if waiter is None:
+            if waiter is None or waiter.execution is None:
                 continue
             waiter.waiting_on.pop(waiter_name, None)
             if waiter.state == "cancelled":
@@ -545,7 +593,7 @@ class FairShareMultiplexer:
     def _requeue_waiters(self, key: str) -> None:
         for waiter_id, waiter_name in self._waiters.pop(key, ()):
             waiter = self._jobs.get(waiter_id)
-            if waiter is None:
+            if waiter is None or waiter.execution is None:
                 continue
             waiter.waiting_on.pop(waiter_name, None)
             if waiter.state == "cancelled":
@@ -612,6 +660,9 @@ class FairShareMultiplexer:
                     job_span, status="ok" if state == "done" else "error"
                 )
         self._newly_finished.append(job)
+        self._detailed.append(job)
+        while len(self._detailed) > DETAILED_JOBS:
+            self._detailed.popleft().release()
         if _metrics.REGISTRY.enabled:
             _metrics.REGISTRY.counter(
                 "repro_serve_jobs_finished_total", "terminal job states by tenant"

@@ -140,12 +140,12 @@ def job_view(job: JobRecord, campaign: Optional[str] = None) -> Dict[str, Any]:
         "job": {
             "id": job.id,
             "tenant": job.tenant,
-            "campaign": campaign if campaign is not None else job.campaign.name,
+            "campaign": campaign if campaign is not None else job.campaign_name,
             "state": job.state,
             "created": job.created,
             "started": job.started,
             "finished": job.finished,
-            "tasks": len(job.campaign.tasks),
+            "tasks": job.task_count,
             "counts": job.counts(),
             "error": job.error,
             "trace_id": job.trace_id,
@@ -177,12 +177,12 @@ def slo_view(summary: Mapping[str, Any]) -> Dict[str, Any]:
 def fleet_view(pool: Any) -> Dict[str, Any]:
     """The worker-fleet envelope (``GET /v1/workers``, SSE ``workers``).
 
-    Both pool flavours answer ``fleet()`` with the same row shape —
-    pipe workers report ``transport: "pipe"`` with no address or
-    heartbeat, TCP workers report ``transport: "tcp"`` plus their
-    registration state, generation, and last heartbeat latency
-    (docs/DISTRIBUTED.md).  ``listen`` is the TCP pool's worker-facing
-    address (absent for a pipe pool).
+    Every worker row has the same shape — forked local workers report
+    ``transport: "pipe"`` with no address or heartbeat, remote workers
+    report ``transport: "tcp"`` plus their registration state,
+    generation, and last heartbeat latency (docs/DISTRIBUTED.md).
+    ``listen`` is the pool's worker-facing address (absent when the pool
+    forks its workers locally).
     """
     rows = pool.fleet() if hasattr(pool, "fleet") else []
     out: Dict[str, Any] = {

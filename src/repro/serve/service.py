@@ -38,6 +38,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.obs import metrics as _metrics
 from repro.obs import tracing as _tracing
 from repro.obs.snapshot import MetricsSnapshot, default_interval
+from repro.sched.pool import WorkerPool
 from repro.sched.store import ResultStore
 from repro.sched.tenancy import (
     FairShareMultiplexer,
@@ -117,26 +118,17 @@ class CampaignService:
             )
         self._metrics_were_enabled = _metrics.REGISTRY.enabled
         _metrics.REGISTRY.enable()
-        # With a workers port the service runs on the TCP fabric: remote
-        # workers dial in and register (docs/DISTRIBUTED.md); without one
-        # it keeps the local duplex-pipe pool.  The remote pool is handed
-        # to the multiplexer as an external pool, so the service — not
-        # mux.shutdown() — owns its lifecycle.
-        self._remote_pool: Optional[Any] = None
-        if workers_port is not None:
-            from repro.sched.net.pool import RemoteWorkerPool
-
-            self._remote_pool = RemoteWorkerPool(
-                host=workers_host, port=workers_port, jobs=jobs if jobs else 4
-            )
-            self.mux = FairShareMultiplexer(
-                self.store, pool=self._remote_pool, jobs=jobs, quota=quota,
-                progress=progress,
-            )
-        else:
-            self.mux = FairShareMultiplexer(
-                self.store, jobs=jobs, quota=quota, progress=progress
-            )
+        # With a workers port, remote workers dial in and register
+        # (docs/DISTRIBUTED.md) and ``jobs`` (default 4) only sizes the
+        # backpressure; without one the pool forks local workers.
+        if workers_port is not None and not jobs:
+            jobs = 4
+        self.mux = FairShareMultiplexer(
+            self.store,
+            pool=WorkerPool(jobs=jobs, port=workers_port, host=workers_host),
+            quota=quota,
+            progress=progress,
+        )
         self._subs: List[Subscription] = []
         self._subs_lock = threading.Lock()
         self._stop = threading.Event()
@@ -168,12 +160,12 @@ class CampaignService:
         resumes (the kill-mid-campaign CI leg).
         """
         self._stop.set()
+        self.mux.pool.wake()
         if self._thread is not None:
             self._thread.join(timeout=30.0)
             self._thread = None
         self.mux.shutdown()
-        if self._remote_pool is not None:
-            self._remote_pool.shutdown()
+        self.mux.pool.shutdown()
         self._broadcast_snapshot(final=True)
         if self._metrics_fh is not None:
             self._metrics_fh.close()
@@ -242,8 +234,8 @@ class CampaignService:
     def workers(self) -> Dict[str, Any]:
         """The worker-fleet envelope for ``GET /v1/workers``.
 
-        ``fleet()`` is a read-only snapshot on both pool flavours, safe
-        to call from handler threads while the scheduler polls.
+        ``fleet()`` is a read-only snapshot, safe to call from handler
+        threads while the scheduler polls.
         """
         return fleet_view(self.mux.pool)
 
@@ -272,15 +264,19 @@ class CampaignService:
         """Register an event queue; ``job_id`` filters to one job's events.
 
         A per-job subscription is primed with the job's current state so
-        a watcher attaching after completion still gets (exactly) the
-        terminal event.  Pair with :meth:`unsubscribe`.
+        a watcher attaching after completion still gets the terminal
+        event.  The subscription is registered *before* that state is
+        read, so a transition racing the attach is either in the primer
+        or broadcast to the queue afterwards — never lost.  Pair with
+        :meth:`unsubscribe`.
         """
         sub = Subscription(job_id)
-        if job_id is not None:
-            job = self.job(job_id)  # not_found propagates before attach
-            sub.push("job", json.dumps(job_view(job)), done=job.terminal)
+        job = None if job_id is None else self.job(job_id)  # not_found first
         with self._subs_lock:
             self._subs.append(sub)
+        if job is not None:
+            data, done = self._job_event(job)
+            sub.push("job", data, done=done)
         return sub
 
     def unsubscribe(self, sub: Subscription) -> None:
@@ -309,11 +305,9 @@ class CampaignService:
     def _fleet_digest(self) -> Tuple[Any, ...]:
         # Heartbeat latencies jitter every pong; digest only the fields
         # whose change is worth an SSE event.
-        pool = self.mux.pool
-        rows = pool.fleet() if hasattr(pool, "fleet") else []
         return tuple(
-            (r.get("id"), r.get("state"), r.get("current"), r.get("tasks_done"))
-            for r in rows
+            (r["id"], r["state"], r["current"], r["tasks_done"])
+            for r in self.mux.pool.fleet()
         )
 
     def _broadcast_workers(self) -> None:
@@ -323,15 +317,21 @@ class CampaignService:
         for sub in subs:
             sub.push("workers", data)
 
+    def _job_event(self, job: JobRecord) -> Tuple[str, bool]:
+        """The job's ``job`` event data and terminal flag, from one snapshot."""
+        return self.mux.view(
+            job, lambda record: json.dumps(job_view(record), sort_keys=True)
+        )
+
     def _broadcast_job(self, job: JobRecord) -> None:
-        data = json.dumps(job_view(job), sort_keys=True)
+        data, done = self._job_event(job)
         with self._subs_lock:
             subs = list(self._subs)
         for sub in subs:
             if sub.job_id is None:
                 sub.push("job", data)
             elif sub.job_id == job.id:
-                sub.push("job", data, done=job.terminal)
+                sub.push("job", data, done=done)
 
     def _broadcast_snapshot(self, final: bool = False) -> None:
         now = time.monotonic()

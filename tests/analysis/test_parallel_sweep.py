@@ -1,4 +1,4 @@
-"""The multiprocessing sweep runner: drop-in equality, caching, seeding,
+"""The worker-pool sweep runner: drop-in equality, caching, seeding,
 and fault tolerance (crashes, hangs, torn caches)."""
 
 import json
@@ -229,6 +229,9 @@ class TestFaultTolerance:
             parallel_sweep({"n": [1]}, healthy_point, jobs=1, backoff=-0.5)
         with pytest.raises(ValueError, match="on_error"):
             parallel_sweep({"n": [1]}, healthy_point, jobs=1, on_error="panic")
+        # Process-per-point execution is gone; the pool is the one way out.
+        with pytest.raises(ValueError, match="executor"):
+            parallel_sweep({"n": [1]}, healthy_point, jobs=2, executor="process")
 
 
 class TestCacheRobustness:

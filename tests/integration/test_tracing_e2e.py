@@ -86,7 +86,7 @@ def test_one_trace_id_from_http_to_phase_records(traced, tmp_path):
     host, port = srv.server_address[:2]
     base_url = f"http://{host}:{port}"
     client = ServeClient(base_url, tenant="alice")
-    pool = service._remote_pool
+    pool = service.mux.pool
     procs = []
     try:
         _wait_until(client.healthy, 10.0, "server did not come up")

@@ -1,4 +1,4 @@
-"""RemoteWorkerPool: the warm-pool contract over real TCP connections.
+"""WorkerPool with a port: the warm-pool contract over real TCP connections.
 
 Workers here are real subprocesses (``spawn_local_workers``) or raw
 sockets driven by the test (for protocol-level cases like split-brain
@@ -7,14 +7,18 @@ resolve in tenths of seconds.
 """
 
 import socket
+import sys
+import textwrap
 import time
 
 import pytest
 
+from repro.sched import pool as pool_module
 from repro.sched.campaigns import demo_campaign, demo_task
 from repro.sched.campaign import run_campaign
-from repro.sched.net import RemoteWorkerPool, spawn_local_workers
+from repro.sched.net import spawn_local_workers
 from repro.sched.net.frames import recv_frame, send_frame
+from repro.sched.pool import WorkerPool
 from repro.sched.store import ResultStore
 
 
@@ -36,7 +40,7 @@ def snooze(seconds=30.0):
 def make_pool(**kwargs):
     kwargs.setdefault("heartbeat_interval", 0.1)
     kwargs.setdefault("heartbeat_timeout", 0.6)
-    return RemoteWorkerPool(jobs=kwargs.pop("jobs", 2), **kwargs)
+    return WorkerPool(jobs=kwargs.pop("jobs", 2), port=0, **kwargs)
 
 
 def wait_for_workers(pool, count, timeout=5.0):
@@ -103,7 +107,6 @@ class TestRoundTrip:
 
     def test_cancel_pending_drops_only_queued(self):
         with make_pool() as pool:
-            assert pool.needs_poll is True
             pool.submit("q1", add, {"a": 1, "b": 1})
             pool.submit("q2", add, {"a": 2, "b": 2})
             assert sorted(pool.cancel_pending()) == ["q1", "q2"]
@@ -131,8 +134,9 @@ class TestFailurePaths:
                 pool.shutdown()
                 reap(procs)
 
-    def test_delivery_budget_exhaustion_surfaces_crash(self):
-        with make_pool(max_deliveries=1) as pool:
+    def test_delivery_budget_exhaustion_surfaces_crash(self, monkeypatch):
+        monkeypatch.setattr(pool_module, "MAX_DELIVERIES", 1)
+        with make_pool() as pool:
             procs = spawn_local_workers(pool.address, 1, name_prefix="bud")
             try:
                 wait_for_workers(pool, 1)
@@ -163,13 +167,42 @@ class TestFailurePaths:
                 pool.shutdown()
                 reap(procs)
 
+    def test_task_the_worker_cannot_load_is_an_error(self, tmp_path, monkeypatch):
+        # A function from a module on the scheduler's path but not the
+        # worker's: the worker reports the import failure as the task's
+        # error, keeps its registration, and nothing is redelivered.
+        (tmp_path / "sched_only_mod.py").write_text(textwrap.dedent("""
+            def task():
+                return {"ran": True}
+        """))
+        monkeypatch.syspath_prepend(str(tmp_path))
+        import sched_only_mod
+
+        with make_pool() as pool:
+            procs = spawn_local_workers(pool.address, 1, name_prefix="load")
+            try:
+                wait_for_workers(pool, 1)
+                pool.submit("foreign", sched_only_mod.task)
+                pool.submit("native", add, {"a": 1, "b": 1})
+                done = drain(pool, 2)
+                assert done["foreign"].status == "error"
+                assert done["foreign"].payload == (
+                    "ModuleNotFoundError: No module named 'sched_only_mod'"
+                )
+                assert done["native"].payload == {"sum": 2}
+                assert pool.stats["requeues"] == 0
+                assert pool.stats["workers_lost"] == 0
+                assert [r["generation"] for r in pool.fleet()] == [1]
+            finally:
+                pool.shutdown()
+                reap(procs)
+                sys.modules.pop("sched_only_mod", None)
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
-            RemoteWorkerPool(jobs=0)
+            WorkerPool(jobs=0, port=0)
         with pytest.raises(ValueError):
-            RemoteWorkerPool(heartbeat_interval=1.0, heartbeat_timeout=0.5)
-        with pytest.raises(ValueError):
-            RemoteWorkerPool(max_deliveries=0)
+            WorkerPool(port=0, heartbeat_interval=1.0, heartbeat_timeout=0.5)
         with make_pool() as pool:
             with pytest.raises(ValueError):
                 pool.submit("k", add, {"a": 1, "b": 2}, timeout=-1)
@@ -224,8 +257,9 @@ class TestProtocolLevel:
                 first.close()
                 second.close()
 
-    def test_evicted_workers_inflight_task_requeues(self):
-        with make_pool(max_deliveries=1) as pool:
+    def test_evicted_workers_inflight_task_requeues(self, monkeypatch):
+        monkeypatch.setattr(pool_module, "MAX_DELIVERIES", 1)
+        with make_pool() as pool:
             first = self.register(pool, "twin")
             pool.submit("p", add, {"a": 1, "b": 2})
             pool.events(wait=0.1)  # dispatch to `first`; it never replies
@@ -235,7 +269,7 @@ class TestProtocolLevel:
             second = socket.create_connection(pool.address, timeout=5.0)
             send_frame(second, ("hello", "twin", {}))
             try:
-                # max_deliveries=1: the requeue path surfaces as a crash,
+                # MAX_DELIVERIES=1: the requeue path surfaces as a crash,
                 # proving the eviction salvaged the in-flight task.
                 done = drain(pool, 1, timeout=5.0)
                 assert done["p"].status == "crash"

@@ -1,10 +1,10 @@
 """Trace-context propagation across the TCP fabric.
 
 The distributed half of the tracing contract: a ``trace`` dict handed
-to ``RemoteWorkerPool.submit`` must ride the task frame to a real
-worker subprocess, come home as an ``exec`` span on the result frame,
-and — because the context lives on the queued ``_NetTask`` — survive a
-requeue so the redelivered execution still belongs to the same trace.
+to ``WorkerPool.submit`` on a pool with a port must ride the task frame
+to a real worker subprocess, come home as an ``exec`` span on the result
+frame, and — because the context lives on the queued ``_Task`` — survive
+a requeue so the redelivered execution still belongs to the same trace.
 """
 
 import time
@@ -13,13 +13,14 @@ import pytest
 
 from repro.obs import tracing
 from repro.sched.campaigns import demo_task
-from repro.sched.net import RemoteWorkerPool, spawn_local_workers
+from repro.sched.net import spawn_local_workers
+from repro.sched.pool import WorkerPool
 
 
 def make_pool(**kwargs):
     kwargs.setdefault("heartbeat_interval", 0.1)
     kwargs.setdefault("heartbeat_timeout", 0.6)
-    return RemoteWorkerPool(jobs=kwargs.pop("jobs", 2), **kwargs)
+    return WorkerPool(jobs=kwargs.pop("jobs", 2), port=0, **kwargs)
 
 
 def wait_for_workers(pool, count, timeout=5.0):

@@ -1,14 +1,18 @@
-"""The warm worker pool: reuse, recycling, crash isolation, watchdog."""
+"""The warm worker pool on forked local workers: reuse, recycling, crash
+isolation, watchdog — plus the results no worker loop may die of, on
+both local and remote workers."""
 
 import os
 import time
 
 import pytest
 
-from repro.sched.pool import DEFAULT_MAX_TASKS_PER_WORKER, PoolEvent, WorkerPool
+from repro.sched import pool as pool_module
+from repro.sched.net.worker import spawn_local_workers
+from repro.sched.pool import MAX_TASKS_PER_WORKER, PoolEvent, WorkerPool
 
 
-# Task functions must be module-level so they pickle across the pipe.
+# Task functions must be module-level so they pickle across to the workers.
 
 def add(a, b):
     return {"sum": a + b}
@@ -87,8 +91,6 @@ class TestBasics:
     def test_validation(self):
         with pytest.raises(ValueError, match="jobs"):
             WorkerPool(jobs=0)
-        with pytest.raises(ValueError, match="max_tasks_per_worker"):
-            WorkerPool(jobs=1, max_tasks_per_worker=0)
         with WorkerPool(jobs=1) as pool:
             with pytest.raises(ValueError, match="timeout"):
                 pool.submit("a", add, {"a": 1, "b": 1}, timeout=0)
@@ -96,7 +98,7 @@ class TestBasics:
     def test_default_recycle_budget_is_high(self):
         # The warm pool only pays off if workers live long enough to
         # amortise their import; guard against the constant regressing.
-        assert DEFAULT_MAX_TASKS_PER_WORKER >= 64
+        assert MAX_TASKS_PER_WORKER >= 64
 
 
 class TestWarmReuse:
@@ -110,8 +112,9 @@ class TestWarmReuse:
         assert pool.stats["workers_spawned"] == 1
         assert pool.stats["tasks_completed"] == 6
 
-    def test_recycling_retires_worker_after_budget(self):
-        with WorkerPool(jobs=1, max_tasks_per_worker=2) as pool:
+    def test_recycling_retires_worker_after_budget(self, monkeypatch):
+        monkeypatch.setattr(pool_module, "MAX_TASKS_PER_WORKER", 2)
+        with WorkerPool(jobs=1) as pool:
             for i in range(4):
                 pool.submit(f"t{i}", worker_pid)
             events = drain(pool, 4)
@@ -146,11 +149,32 @@ class TestFailureIsolation:
         assert pool.stats["timeouts"] == 1
 
     def test_unpicklable_result_degrades_to_error(self):
-        with WorkerPool(jobs=1) as pool:
-            pool.submit("gen", unpicklable_result)
-            events = drain(pool, 1)
-        assert events["gen"].status == "error"
-        assert "not sendable" in events["gen"].payload
+        # The one worker loop reports a result it cannot pickle as the
+        # task's error, on a forked worker and on a `python -m repro
+        # worker` alike — and the worker lives on to serve the next task.
+        for port in (None, 0):
+            with WorkerPool(jobs=1, port=port) as pool:
+                procs = []
+                if port is not None:
+                    procs = spawn_local_workers(pool.address, 1, name_prefix="gen")
+                    deadline = time.monotonic() + 15.0
+                    while not pool.registry.live():
+                        assert time.monotonic() < deadline, "worker never registered"
+                        pool.events(wait=0.05)
+                try:
+                    pool.submit("gen", unpicklable_result)
+                    pool.submit("next", add, {"a": 1, "b": 2})
+                    events = drain(pool, 2)
+                finally:
+                    pool.shutdown()
+                    for proc in procs:
+                        assert proc.wait(timeout=10) == 0  # stopped, not crashed
+            assert events["gen"].status == "error", port
+            assert "result not sendable" in events["gen"].payload
+            assert events["next"].ok and events["next"].payload == {"sum": 3}
+            assert pool.stats["crashes"] == 0
+            assert pool.stats["workers_lost"] == 0
+            assert pool.stats["requeues"] == 0
 
     @pytest.mark.skipif(
         not os.path.isdir("/proc/self/fd"), reason="needs /proc (Linux)"
@@ -174,6 +198,30 @@ class TestFailureIsolation:
                 end.close()
         assert events["fds"].ok
         assert events["fds"].payload == {"sockets": 1}
+
+    def test_worker_link_above_fd_setsize(self):
+        # select.select() rejects an fd >= FD_SETSIZE (1024).  A service
+        # holding many connections forks its workers with their link (and
+        # wake pipe) above that; they must still serve.
+        resource = pytest.importorskip("resource")
+        soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+        want = 1200
+        if hard != resource.RLIM_INFINITY and hard < want:
+            pytest.skip(f"hard fd limit {hard} is below {want}")
+        resource.setrlimit(resource.RLIMIT_NOFILE, (max(soft, want), hard))
+        r, w = os.pipe()
+        filler = []
+        try:
+            while max(filler + [w]) < 1050:
+                filler.append(os.dup(r))
+            with WorkerPool(jobs=1) as pool:
+                pool.submit("high", add, {"a": 2, "b": 3})
+                events = drain(pool, 1)
+        finally:
+            for fd in filler + [r, w]:
+                os.close(fd)
+            resource.setrlimit(resource.RLIMIT_NOFILE, (soft, hard))
+        assert events["high"].ok and events["high"].payload == {"sum": 5}
 
 
 def unpicklable_result():

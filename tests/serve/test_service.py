@@ -13,10 +13,11 @@ import time
 import pytest
 
 from repro.obs import metrics as _metrics
+from repro.sched import tenancy
 from repro.sched.campaign import Campaign, TaskSpec
 from repro.sched.store import ResultStore
 from repro.sched.tenancy import FairShareMultiplexer, QuotaExceeded, TenantQuota
-from repro.serve.contracts import ContractError, SubmitRequest
+from repro.serve.contracts import ContractError, SubmitRequest, job_view
 from repro.serve.service import CampaignService
 
 
@@ -235,6 +236,60 @@ def test_cancel_unknown_job_returns_none(mux):
     assert mux.cancel("job-9999") is None
 
 
+def test_old_finished_jobs_are_released_but_stay_queryable(mux, monkeypatch):
+    """Every job stays listed and shows the same view; only the newest
+    finished jobs keep their per-task state, and ids are never reused."""
+    monkeypatch.setattr(tenancy, "DETAILED_JOBS", 2)
+    jobs, views = [], []
+    for i in range(3):
+        jobs.append(mux.submit("alice", fanout("alice", 2, name=f"j{i}")))
+        drive(mux)  # one at a time: jobs finish in submission order
+        views.append(job_view(jobs[-1]))
+    assert mux.jobs() == jobs
+    assert [mux.job(j.id) for j in jobs] == jobs
+    assert [job_view(j) for j in jobs] == views
+    assert views[0]["job"]["counts"] == {"done": 2}
+    assert jobs[0].execution is None and jobs[0].spans == ()
+    assert all(j.execution is not None and j.spans for j in jobs[1:])
+    with pytest.raises(ValueError, match="duplicate job id"):
+        mux.submit("alice", fanout("alice", 1), job_id=jobs[0].id)
+
+
+def test_shutdown_with_a_running_job_after_releases(mux, monkeypatch):
+    """Finishing the running job at shutdown releases an older one
+    without disturbing the scan over the job table."""
+    monkeypatch.setattr(tenancy, "DETAILED_JOBS", 1)
+    done = []
+    for i in range(2):
+        done.append(mux.submit("alice", fanout("alice", 1, name=f"j{i}")))
+        drive(mux)
+    running = mux.submit("alice", fanout("alice", 2, name="slow", delay=0.5))
+    deadline = time.monotonic() + 20
+    while not running.execution.in_flight and time.monotonic() < deadline:
+        mux.step(wait=0.05)
+    assert running.execution.in_flight
+    mux.shutdown()
+    assert running.state == "cancelled"
+    assert [j.state for j in done] == ["done", "done"]
+    assert done[1].execution is None  # released when `running` finished
+
+
+def test_fully_cached_resubmission_after_releases(mux, monkeypatch):
+    """A job the resume pass completes finishes inside the activation
+    scan; releasing an older job there must not break the scheduler."""
+    monkeypatch.setattr(tenancy, "DETAILED_JOBS", 1)
+    for i in range(2):
+        mux.submit("alice", fanout("alice", 1, name=f"j{i}"))
+        drive(mux)
+    again = mux.submit("alice", fanout("alice", 1, name="j0"))
+    drive(mux)
+    assert again.state == "done"
+    assert again.counts() == {"cached": 1}
+    later = mux.submit("bob", fanout("bob", 1))
+    drive(mux)
+    assert later.state == "done"
+
+
 # -- the threaded service ----------------------------------------------------
 
 def demo_request(points=3, delay=0.0):
@@ -363,3 +418,116 @@ def test_service_restores_metrics_state(tmp_path):
     assert _metrics.REGISTRY.enabled
     svc.stop()
     assert not _metrics.REGISTRY.enabled
+
+
+# -- the wake: an idle scheduler sleeps, and a submission ends the sleep ----
+
+@pytest.mark.parametrize("workers_port", [None, 0], ids=["local", "remote"])
+def test_submission_to_an_idle_service_is_admitted_at_once(tmp_path, workers_port):
+    """A submit wakes the scheduler out of its 0.2 s ``step`` wait, on a
+    pool of forked workers and on one listening for remote workers."""
+    svc = CampaignService(
+        str(tmp_path / "store"), jobs=1, snapshot_interval=10.0,
+        workers_port=workers_port,
+    )
+    svc.start()
+    try:
+        time.sleep(0.5)  # let the scheduler settle into its idle wait
+        job = svc.submit("alice", demo_request(points=1))
+        assert wait_for(lambda: svc.job(job.id).started > 0, timeout=5.0)
+        assert svc.job(job.id).started - job.created < 0.1
+    finally:
+        svc.stop()
+
+
+def test_per_job_subscription_races_a_finishing_job(tmp_path, monkeypatch):
+    """A job that goes terminal while ``subscribe`` builds its primer
+    must still end the stream on a terminal view: the transition either
+    lands in the primer or is broadcast to the already-registered queue."""
+    import json as _json
+    import threading
+
+    from repro.serve import service as service_module
+
+    svc = CampaignService(str(tmp_path / "store"), jobs=1, snapshot_interval=10.0)
+    try:
+        job = svc.submit("alice", demo_request(points=2))  # queued: no scheduler
+        real_view = service_module.job_view
+        racer = []
+
+        def job_view_finishing_mid_read(record):
+            view = real_view(record)
+            if not racer:
+                # Another thread cancels and broadcasts while the primer
+                # is being built — the interleaving subscribe must survive.
+                def cancel_and_broadcast():
+                    svc.mux.cancel(job.id)
+                    svc._broadcast_job(svc.job(job.id))
+
+                racer.append(threading.Thread(target=cancel_and_broadcast))
+                racer[0].start()
+                racer[0].join(timeout=0.5)
+            return view
+
+        monkeypatch.setattr(service_module, "job_view", job_view_finishing_mid_read)
+        sub = svc.subscribe(job.id)
+        racer[0].join(timeout=10.0)
+        assert not racer[0].is_alive()
+        items = []
+        while True:
+            item = sub.get(timeout=2.0)
+            assert item is not None, f"stream never ended: {items}"
+            items.append(item)
+            if item[2]:
+                break
+        event, data, _ = items[-1]
+        assert event == "job"
+        assert _json.loads(data)["job"]["state"] == "cancelled"
+        svc.unsubscribe(sub)
+    finally:
+        svc.stop()
+
+
+def _cpu_seconds(pid):
+    """utime + stime of ``pid`` from ``/proc/<pid>/stat``."""
+    with open(f"/proc/{pid}/stat") as fh:
+        fields = fh.read().rsplit(")", 1)[1].split()
+    return (int(fields[11]) + int(fields[12])) / os.sysconf("SC_CLK_TCK")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc (Linux)")
+def test_idle_service_does_not_spin(tmp_path):
+    """An idle ``serve run`` with warm local workers blocks in ``select``:
+    well under 0.5 CPU-s over 5 s (the scheduler used to spin a core)."""
+    import signal
+    import subprocess
+    import sys
+
+    from repro.serve.client import ServeClient
+
+    root = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(root, "src"), root]), REPRO_JOBS="2")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "run", "--port", "0",
+         "--store", str(tmp_path / "store"), "--quiet"],
+        env=env, stdout=subprocess.PIPE, text=True,
+    )
+    try:
+        line = proc.stdout.readline()
+        assert line.startswith("serving on "), line
+        client = ServeClient(line.split()[2], tenant="idle")
+        job = client.submit("demo", {"points": 2, "delay": 0.0})
+        assert client.wait(job["id"], timeout=60)["state"] == "done"
+        assert client.workers()["live"] >= 1  # warm workers stay behind
+        before = _cpu_seconds(proc.pid)
+        time.sleep(5.0)
+        assert _cpu_seconds(proc.pid) - before < 0.5
+    finally:
+        proc.send_signal(signal.SIGINT)
+        try:
+            proc.wait(timeout=30)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()
