@@ -7,10 +7,10 @@ One table per problem (Parity, OR, ListRank), one row per model:
 Every row runs the best matching upper-bound algorithm on that model's
 simulator and prints the measured simulated cost next to the encoded lower
 bound (``repro.lowerbounds.formulas``).  The point of the table is the 1998
-paper's thesis extended past 1998: the *same* problems, executed over the
-*same* phase/superstep IR, separate cleanly by what each model charges for
-— contention (QSM family), latency (BSP), nothing (CRCW PRAM), per-round
-message capacity (MPC), block transfers (PEM).
+paper's thesis extended past 1998: the *same* problems, executed through
+the *same* ``phase()`` / ``superstep()`` API, separate cleanly by what each
+model charges for — contention (QSM family), latency (BSP), nothing (CRCW
+PRAM), per-round message capacity (MPC), block transfers (PEM).
 
 Measured/bound units are per-row: model time for the QSM family and BSP,
 unit steps for the PRAM, effective rounds for MPC
@@ -261,7 +261,7 @@ def table_points(jobs: Optional[int] = None):
     """The full problem x model x n sweep, as parallel_sweep points."""
     grid = {"problem": PROBLEMS, "model": MODELS, "n": NS}
     return parallel_sweep(grid, run_cross_model_point, jobs=jobs,
-                          **sweep_cache_kwargs("cross_model"))
+                          **sweep_cache_kwargs())
 
 
 def engine_parity(model: str, ns=None) -> bool:
@@ -306,20 +306,6 @@ def collect(jobs: Optional[int] = None) -> Dict[str, object]:
         "engines_agree_mpc": engine_parity("MPC"),
         "engines_agree_pem": engine_parity("PEM"),
     }
-
-
-def write_bench_json(payload: Dict[str, object], path: Optional[str] = None) -> str:
-    """Persist the measurement to ``BENCH_cross_model.json``; returns the path."""
-    import json
-    import os
-
-    if path is None:
-        root = os.environ.get("REPRO_BENCH_CACHE") or "."
-        path = os.path.join(root, "BENCH_cross_model.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    return path
 
 
 def main(jobs: Optional[int] = None) -> None:

@@ -436,20 +436,6 @@ def collect(jobs: int = None) -> Dict[str, object]:
     return payload
 
 
-def write_bench_json(payload: Dict[str, object], path: str = None) -> str:
-    """Persist the measurement to ``BENCH_phase_engine.json``; returns the path."""
-    import json
-    import os
-
-    if path is None:
-        root = os.environ.get("REPRO_BENCH_CACHE") or "."
-        path = os.path.join(root, "BENCH_phase_engine.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    return path
-
-
 def main() -> None:
     rows = engine_rows()
     for kind in ("read", "write", "send"):

@@ -83,7 +83,7 @@ def collect_rows():
         "variant": ["deterministic", "randomized"],
         "n": NS,
     }
-    points = parallel_sweep(grid, run_t1c_point, **sweep_cache_kwargs("t1c_bsp_time"))
+    points = parallel_sweep(grid, run_t1c_point, **sweep_cache_kwargs())
     return [
         CellRow(
             p.params["problem"],

@@ -97,14 +97,13 @@ def collect_rows():
     # The main 3x2xNS grid runs through parallel_sweep: ``--jobs N`` (or
     # REPRO_JOBS) fans the cells out over worker processes.  REPRO_STORE
     # persists finished points to the shared content-addressed result store
-    # (also visible to `python -m repro campaign run table1`); the legacy
-    # REPRO_BENCH_CACHE keeps a per-driver BENCH_t1a_qsm_time.json instead.
+    # (also visible to `python -m repro campaign run table1`).
     grid = {
         "problem": ["LAC", "OR", "Parity"],
         "variant": ["deterministic", "randomized"],
         "n": NS,
     }
-    points = parallel_sweep(grid, run_t1a_point, **sweep_cache_kwargs("t1a_qsm_time"))
+    points = parallel_sweep(grid, run_t1a_point, **sweep_cache_kwargs())
     return [
         CellRow(
             p.params["problem"],

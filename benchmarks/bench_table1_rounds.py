@@ -103,7 +103,7 @@ def collect_rows():
         "model": ["QSM", "s-QSM", "BSP"],
         "n": [n for n, _ in SWEEP],
     }
-    points = parallel_sweep(grid, run_t1d_point, **sweep_cache_kwargs("t1d_rounds"))
+    points = parallel_sweep(grid, run_t1d_point, **sweep_cache_kwargs())
     return [
         CellRow(
             p.params["problem"],

@@ -80,7 +80,7 @@ def collect_rows():
         "variant": ["deterministic", "randomized"],
         "n": NS,
     }
-    points = parallel_sweep(grid, run_t1b_point, **sweep_cache_kwargs("t1b_sqsm_time"))
+    points = parallel_sweep(grid, run_t1b_point, **sweep_cache_kwargs())
     return [
         CellRow(
             p.params["problem"],

@@ -76,26 +76,20 @@ def ns_from_env(default: Sequence[int], env: str = "REPRO_BENCH_NS") -> List[int
     return ns
 
 
-def sweep_cache_kwargs(name: str) -> Dict[str, object]:
+def sweep_cache_kwargs() -> Dict[str, object]:
     """Result-persistence kwargs for a driver's ``parallel_sweep`` call.
 
     One switch point for all drivers: ``REPRO_STORE=<dir>`` routes
     outcomes into the shared content-addressed result store
     (:class:`repro.sched.store.ResultStore`), where they are also visible
     to ``python -m repro campaign`` runs of the same points; otherwise
-    ``REPRO_BENCH_CACHE=<dir>`` keeps the legacy per-driver
-    ``BENCH_<name>.json`` cache; otherwise nothing persists.
+    nothing persists.
     """
     store_dir = os.environ.get("REPRO_STORE")
     if store_dir:
         from repro.sched.store import ResultStore
 
         return {"store": ResultStore(store_dir)}
-    cache_dir = os.environ.get("REPRO_BENCH_CACHE")
-    if cache_dir:
-        from repro.analysis.parallel_sweep import bench_cache_path
-
-        return {"cache_path": bench_cache_path(name, root=cache_dir)}
     return {}
 
 

@@ -4,8 +4,8 @@
   parameter grid, collecting simulated cost and verifier verdicts.
 * :mod:`repro.analysis.parallel_sweep` — the worker-pool drop-in for
   :func:`sweep` (crash isolation and timeouts on warm workers,
-  deterministic per-point seeding, JSON result cache for resumable
-  benches).
+  deterministic per-point seeding, resumable through the shared
+  :class:`repro.sched.store.ResultStore`).
 * :mod:`repro.analysis.fit` — growth-shape checking: fit a single constant
   against a reference curve and test dominance / boundedness / monotone
   trends, the executable meaning of Omega/Theta at finite n (DESIGN.md
@@ -17,7 +17,6 @@
 from repro.analysis.fit import bounded_ratio, dominance_constant, ratio_trend
 from repro.analysis.parallel_sweep import (
     SweepPointError,
-    bench_cache_path,
     derive_point_seed,
     parallel_sweep,
 )
@@ -27,7 +26,6 @@ from repro.analysis.tables import render_table
 __all__ = [
     "sweep",
     "parallel_sweep",
-    "bench_cache_path",
     "derive_point_seed",
     "grid_points",
     "point_from_outcome",

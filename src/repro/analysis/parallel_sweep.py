@@ -25,7 +25,7 @@ A long sweep must not lose hours of completed points to one bad grid point
   ``correct=False`` and ``extra["error"]`` (``SweepPoint.failed`` /
   ``SweepPoint.error`` read it back) instead of aborting the sweep.  The
   default ``on_error="raise"`` raises :class:`SweepPointError`; either
-  way every outcome completed before the failure persists to the cache.
+  way every outcome completed before the failure persists to the store.
 
 Determinism
 -----------
@@ -37,26 +37,24 @@ explicit seed, pass ``seed_arg`` and each point receives
 only on the point (not on scheduling, job count, or enumeration order), so
 serial and parallel runs of any job count agree bit for bit.
 
-Result cache
+Result store
 ------------
-Pass ``cache_path`` (conventionally ``BENCH_<name>.json``; see
-:func:`bench_cache_path`) to persist every completed point's outcome as
-JSON.  Re-runs load the file and only execute grid points that are missing,
-so an interrupted sweep resumes where it stopped and repeated bench runs
-give the repository a perf trajectory for free.  Cached outcomes round-trip
-through JSON: keep ``extra`` values JSON-serializable if you rely on the
-cache.  Error outcomes are **never** cached — a re-run retries them.
-Writes are atomic (write-to-temp + rename), and an unreadable or
-schema-invalid cache file is *quarantined* (renamed to
-``<path>.quarantined`` with a warning) rather than aborting the sweep;
-individually invalid entries are dropped the same way.
+Pass ``store`` (a :class:`repro.sched.store.ResultStore`) to persist every
+completed point's outcome, content-addressed the same way campaign tasks
+are.  Re-runs only execute grid points that are missing, so an
+interrupted sweep resumes where it stopped.  Outcomes round-trip through
+JSON: keep ``extra`` values JSON-serializable if you rely on the store.
+Error outcomes are **never** stored — a re-run retries them.  A torn
+entry is quarantined by the store, and a stored outcome without
+``measured``/``correct`` is ignored; either way the point re-runs and its
+entry is rewritten.
 
 Cost provenance
 ---------------
 The Table 1 drivers run their machines with ``record_costs=True`` and put
 ``dominant_terms`` (the cost-weighted dominant-term fractions of
 :func:`repro.obs.records.dominant_fractions`) into each outcome dict, so
-every persisted ``BENCH_*.json`` point records *why* it cost what it did —
+every stored point records *why* it cost what it did —
 ``SweepPoint.dominant_terms`` reads it back.  The fractions are plain
 ``{term: float}`` dicts and survive the JSON round trip unchanged.
 """
@@ -66,9 +64,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 import time
-import warnings
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro.analysis.sweep import SweepPoint, grid_points, point_from_outcome
@@ -78,7 +74,6 @@ __all__ = [
     "point_key",
     "derive_point_seed",
     "default_jobs",
-    "bench_cache_path",
     "SweepPointError",
     "JOBS_ENV",
     "EXECUTORS",
@@ -142,12 +137,6 @@ def derive_point_seed(base_seed: Any, params: Mapping[str, Any]) -> int:
     return int.from_bytes(digest[:8], "little") >> 1
 
 
-def bench_cache_path(name: str, root: str = ".") -> str:
-    """Conventional cache location for a named bench: ``<root>/BENCH_<name>.json``."""
-    safe = "".join(c if (c.isalnum() or c in "-_") else "_" for c in name)
-    return os.path.join(root, f"BENCH_{safe}.json")
-
-
 def _call_point(
     run: Callable[..., Dict[str, Any]],
     params: Mapping[str, Any],
@@ -161,61 +150,14 @@ def _call_point(
 
 
 def _valid_cache_entry(value: Any) -> bool:
-    """Schema check for one cached outcome: the :func:`point_from_outcome`
-    contract, and not a (never-cached, but defend anyway) error record."""
+    """Schema check for one stored outcome: the :func:`point_from_outcome`
+    contract, and not a (never-stored, but defend anyway) error record."""
     return (
         isinstance(value, dict)
         and "measured" in value
         and "correct" in value
         and "error" not in value
     )
-
-
-def _quarantine(path: str, reason: str) -> None:
-    quarantined = path + ".quarantined"
-    os.replace(path, quarantined)
-    warnings.warn(
-        f"sweep cache {path} is unusable ({reason}); moved to {quarantined} "
-        "and rebuilding from scratch",
-        RuntimeWarning,
-        stacklevel=3,
-    )
-
-
-def _load_cache(path: str) -> Dict[str, Dict[str, Any]]:
-    """Load a sweep cache; quarantine it (never raise) when unreadable."""
-    if not os.path.exists(path):
-        return {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        if not isinstance(data, dict):
-            raise ValueError("top level is not a JSON object")
-    except (OSError, ValueError) as exc:
-        _quarantine(path, str(exc))
-        return {}
-    valid = {key: value for key, value in data.items() if _valid_cache_entry(value)}
-    if len(valid) != len(data):
-        warnings.warn(
-            f"sweep cache {path}: dropped {len(data) - len(valid)} "
-            "schema-invalid entr(y/ies); those points will re-run",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-    return valid
-
-
-def _store_cache(path: str, mapping: Dict[str, Dict[str, Any]]) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(prefix=".sweep-cache-", dir=directory)
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(mapping, fh, indent=1, sort_keys=True)
-        os.replace(tmp, path)  # atomic: readers never see a torn file
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 class _Attempting:
@@ -355,7 +297,6 @@ def parallel_sweep(
     grid: Mapping[str, Sequence[Any]],
     run: Callable[..., Dict[str, Any]],
     jobs: Optional[int] = None,
-    cache_path: Optional[str] = None,
     seed_arg: Optional[str] = None,
     base_seed: Any = 0,
     timeout: Optional[float] = None,
@@ -383,20 +324,18 @@ def parallel_sweep(
       workers across sweeps;
     * with ``seed_arg``, each call receives ``run(**point, seed_arg=s)``
       where ``s = derive_point_seed(base_seed, point)``;
-    * with ``cache_path``, completed outcomes persist to JSON and re-runs
-      skip points already present in the file; with ``store`` (a
-      :class:`repro.sched.store.ResultStore` — mutually exclusive with
-      ``cache_path``), outcomes persist content-addressed under
-      ``(store_scope or run's module:qualname, point params, base seed,
-      store version)`` instead, unifying every driver's resume cache in
-      one place;
+    * with ``store`` (a :class:`repro.sched.store.ResultStore`),
+      completed outcomes persist content-addressed under ``(store_scope
+      or run's module:qualname, point params, base seed, store version)``
+      and re-runs skip points already stored — the same cache campaigns
+      read and write;
     * ``timeout`` / ``retries`` / ``backoff`` / ``on_error`` add the fault
       tolerance described in the module docstring;
     * with ``engine`` (one engine name or a sequence of them), an
       ``"engine"`` axis of :func:`repro.core.resolve_engine`-resolved
       names is injected into the grid, so each point runs as
-      ``run(**point, engine=<name>)`` and point keys (cache/store
-      identity) carry the engine they were measured on.  Note that
+      ``run(**point, engine=<name>)`` and point keys (store identity)
+      carry the engine they were measured on.  Note that
       ``engine="vector"`` resolves to ``"reference"`` on hosts without
       numpy — the injected axis records what actually ran.
 
@@ -419,8 +358,6 @@ def parallel_sweep(
         raise ValueError(f"on_error must be 'raise' or 'record', got {on_error!r}")
     if executor not in EXECUTORS:
         raise ValueError(f"executor must be one of {EXECUTORS}, got {executor!r}")
-    if store is not None and cache_path is not None:
-        raise ValueError("pass either cache_path or store, not both")
     if engine is not None:
         from repro.core.engine_vector import resolve_engine
 
@@ -438,7 +375,6 @@ def parallel_sweep(
     if resolved == "serial" and timeout is not None:
         raise ValueError("the serial executor cannot enforce timeouts")
 
-    cache = _load_cache(cache_path) if cache_path else {}
     store_keys: Dict[str, str] = {}
     if store is not None:
         scope = run if store_scope is None else store_scope
@@ -457,11 +393,6 @@ def parallel_sweep(
     pending: List[_Attempting] = []
     for params in points:
         key = point_key(params)
-        if key in cache:
-            outcomes[key] = cache[key]
-            if _metrics.REGISTRY.enabled:
-                _count_points("cache")
-            continue
         if store is not None:
             stored = store.get_outcome(store_keys[key])
             if stored is not None and _valid_cache_entry(stored):
@@ -486,14 +417,8 @@ def parallel_sweep(
     finally:
         # Persist whatever completed — even when a point raised — so an
         # aborted sweep resumes instead of restarting.  Error outcomes are
-        # never cached: a re-run gives them a fresh chance.
-        if cache_path:
-            merged = dict(cache)
-            merged.update(
-                {k: v for k, v in outcomes.items() if _valid_cache_entry(v)}
-            )
-            _store_cache(cache_path, merged)
-        elif store is not None:
+        # never stored: a re-run gives them a fresh chance.
+        if store is not None:
             from repro.sched.store import task_spec
 
             for task in pending:

@@ -88,7 +88,7 @@ def explain_summary(machine: Machine) -> str:
 
     Each row shows how many phases the term won, the summed cost of those
     phases, and the cost-weighted fraction — the same numbers the Table 1
-    drivers attach to their ``BENCH_*.json`` points.
+    drivers attach to their sweep outcomes.
     """
     from repro.obs.records import machine_cost_records, summarize
 

@@ -298,7 +298,7 @@ def run_chaos(argv: List[str]) -> int:
         description=(
             "Run the Section 8 algorithms under adversarial winner policies "
             "and injected faults, and the sweep runner through crash / hang / "
-            "corrupt-cache scenarios; report what survives."
+            "torn-store-entry scenarios; report what survives."
         ),
     )
     parser.add_argument("--n", type=int, default=64, help="input size (default: 64)")
@@ -367,7 +367,7 @@ def run_chaos(argv: List[str]) -> int:
     if not args.skip_sweep_demo and not args.net_only:
         from repro.faults.sweep_demo import run_sweep_demo
 
-        print("\nsweep-runner fault demo (worker crash / hung point / torn cache):")
+        print("\nsweep-runner fault demo (worker crash / hung point / torn store entry):")
         summary = run_sweep_demo()
         for key, value in summary.items():
             print(f"  {key}: {value}")
@@ -409,7 +409,11 @@ def run_version() -> int:
 
 
 def _interval_value(text: str) -> float:
-    """Argparse type for ``--interval``: a positive, finite second count."""
+    """Parse a positive, finite second count.
+
+    The one check behind ``--interval`` (as its argparse type) and
+    ``REPRO_METRICS_INTERVAL`` (via :func:`_check_env`).
+    """
     import argparse
     import math
 
@@ -1264,8 +1268,29 @@ def _watch_job(client, job_id: str, cancel_on_disconnect: bool) -> dict:
     return view
 
 
+def _jobs_value(text: str) -> int:
+    """Parse a worker count, an integer >= 1.
+
+    The one check behind ``--jobs`` (via :func:`parse_jobs`) and
+    ``REPRO_JOBS`` (via :func:`_check_env`).
+    """
+    import argparse
+
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer >= 1, got {text!r}"
+        ) from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def parse_jobs(argv: List[str]) -> Tuple[List[str], Optional[int]]:
     """Strip ``--jobs N`` / ``--jobs=N`` from ``argv``; return (rest, jobs)."""
+    import argparse
+
     rest: List[str] = []
     jobs: Optional[int] = None
     i = 0
@@ -1284,74 +1309,39 @@ def parse_jobs(argv: List[str]) -> Tuple[List[str], Optional[int]]:
             i += 1
             continue
         try:
-            jobs = int(value)
-        except ValueError:
-            raise SystemExit(f"--jobs needs an integer, got {value!r}")
-        if jobs < 1:
-            raise SystemExit(f"--jobs must be >= 1, got {jobs}")
+            jobs = _jobs_value(value)
+        except argparse.ArgumentTypeError as exc:
+            raise SystemExit(f"--jobs {exc}") from None
     return rest, jobs
 
 
-def _validate_jobs_env() -> None:
-    """Reject a malformed ``REPRO_JOBS`` up front, argparse-style (exit 2).
+def _check_env(name: str, parse: Callable[[str], object]) -> None:
+    """Reject a malformed environment variable up front, argparse-style (exit 2).
 
-    The library's :func:`repro.analysis.parallel_sweep.default_jobs` keeps
-    its lenient fallback (a bad value degrades to the CPU count) so
-    programmatic use never explodes mid-sweep; the CLI is where a typo'd
-    environment should be caught loudly instead of silently ignored.
+    The library readers (:func:`repro.analysis.parallel_sweep.default_jobs`,
+    :func:`repro.obs.snapshot.default_interval`) keep their lenient
+    fallbacks, so programmatic use never explodes mid-sweep; the CLI is
+    where a typo'd environment should be caught loudly instead of silently
+    ignored.
     """
-    env = os.environ.get("REPRO_JOBS")
+    import argparse
+
+    env = os.environ.get(name)
     if env is None or not env.strip():
         return
     try:
-        value = int(env)
-    except ValueError:
-        print(
-            f"error: REPRO_JOBS must be an integer >= 1, got {env!r}",
-            file=sys.stderr,
-        )
-        raise SystemExit(2)
-    if value < 1:
-        print(f"error: REPRO_JOBS must be >= 1, got {value}", file=sys.stderr)
-        raise SystemExit(2)
-
-
-def _validate_metrics_interval_env() -> None:
-    """Reject a malformed ``REPRO_METRICS_INTERVAL`` up front (exit 2).
-
-    Same split as ``REPRO_JOBS``: the library's
-    :func:`repro.obs.snapshot.default_interval` stays lenient (a bad value
-    degrades to the 1.0s default), the CLI catches the typo loudly.
-    """
-    import math
-
-    env = os.environ.get("REPRO_METRICS_INTERVAL")
-    if env is None or not env.strip():
-        return
-    try:
-        value = float(env)
-    except ValueError:
-        print(
-            "error: REPRO_METRICS_INTERVAL must be a positive number of "
-            f"seconds, got {env!r}",
-            file=sys.stderr,
-        )
-        raise SystemExit(2)
-    if not value > 0 or math.isinf(value):
-        print(
-            "error: REPRO_METRICS_INTERVAL must be a positive finite number "
-            f"of seconds, got {env!r}",
-            file=sys.stderr,
-        )
-        raise SystemExit(2)
+        parse(env)
+    except argparse.ArgumentTypeError as exc:
+        print(f"error: {name} {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     argv, jobs = parse_jobs(argv)
     if jobs is None:
-        _validate_jobs_env()  # an explicit --jobs overrides the environment
-    _validate_metrics_interval_env()  # --interval overrides it per command
+        _check_env("REPRO_JOBS", _jobs_value)  # an explicit --jobs overrides it
+    _check_env("REPRO_METRICS_INTERVAL", _interval_value)  # --interval overrides it per command
     if jobs is not None:
         # parallel_sweep's default_jobs() reads this, so one flag fans out
         # to every sweep in the run (including ones in worker processes).

@@ -18,25 +18,13 @@ Public surface
 * GSM-to-other-model bound translation (Claims 2.1/2.2):
   :mod:`repro.core.mapping`.
 * Execution engines: every machine takes ``engine="reference"|"vector"``
-  (default via ``$REPRO_ENGINE``); see :mod:`repro.core.engine_vector` and
-  the phase-instruction IR in :mod:`repro.core.ir`.
+  (default via ``$REPRO_ENGINE``); see :mod:`repro.core.engine_vector`.
+  Both engines serve the same ``phase()`` / ``superstep()`` methods.
 """
 
 from repro.core.bsp import BSP, Superstep
 from repro.core.engine_vector import ENGINE_ENV, ENGINES, have_numpy, resolve_engine
 from repro.core.gsm import GSM
-from repro.core.ir import (
-    LocalOp,
-    ReadBlockOp,
-    ReadOp,
-    SendBlockOp,
-    SendOp,
-    WorkOp,
-    WriteBlockOp,
-    WriteOp,
-    run_phase,
-    run_superstep,
-)
 from repro.core.machine import (
     BlockReadHandle,
     MemoryConflictError,
@@ -92,14 +80,4 @@ __all__ = [
     "ENGINES",
     "resolve_engine",
     "have_numpy",
-    "ReadOp",
-    "ReadBlockOp",
-    "WriteOp",
-    "WriteBlockOp",
-    "LocalOp",
-    "SendOp",
-    "SendBlockOp",
-    "WorkOp",
-    "run_phase",
-    "run_superstep",
 ]

@@ -3,16 +3,18 @@
 :func:`run_sweep_demo` drives :func:`repro.analysis.parallel_sweep.parallel_sweep`
 through every failure mode it claims to survive, in one sweep:
 
-* a **truncated cache file** pre-seeded on disk (quarantined, sweep rebuilds);
+* a **torn result-store entry** pre-seeded on disk (quarantined, its point
+  re-runs);
 * a point whose worker **crashes hard** (``os._exit``) on the first attempt;
 * a point that **hangs** past the watchdog timeout on the first attempt;
-* a point that **always fails** (recorded as an error outcome, never cached).
+* a point that **always fails** (recorded as an error outcome, never stored).
 
 The transient modes use marker files (not in-memory state: each attempt
 runs in a fresh worker process) so the retry attempt succeeds — modelling a
 flaky machine rather than a broken experiment.  The demo then *re-runs* the
-sweep against the same cache to show it resumes: completed points are
-served from the cache and only the genuinely-broken point re-executes.
+sweep against the same :class:`~repro.sched.store.ResultStore` to show it
+resumes: completed points are served from the store and only the
+genuinely-broken point re-executes.
 
 ``python -m repro chaos`` runs this alongside the algorithm probes; the
 dedicated tests in ``tests/analysis/test_parallel_sweep.py`` cover each
@@ -29,6 +31,7 @@ from functools import partial
 from typing import Any, Dict
 
 from repro.analysis.parallel_sweep import parallel_sweep
+from repro.sched.store import ResultStore
 
 __all__ = ["run_sweep_demo", "demo_point"]
 
@@ -62,22 +65,24 @@ def run_sweep_demo(jobs: int = 2, timeout: float = 1.5) -> Dict[str, Any]:
 
     The summary's ``survived`` key is the headline: True iff the sweep
     completed with exactly one (permanently broken) error point, the
-    corrupt cache was quarantined, and the re-run resumed from the cache.
+    torn store entry was quarantined, and the re-run resumed from the store.
     """
     grid = {"n": [2, 3], "mode": ["ok", "crash-once", "hang-once", "broken"]}
     with tempfile.TemporaryDirectory(prefix="repro-chaos-demo-") as scratch:
-        cache = os.path.join(scratch, "BENCH_demo.json")
-        with open(cache, "w", encoding="utf-8") as fh:
+        store = ResultStore(os.path.join(scratch, "store"))
+        run = partial(demo_point, scratch=scratch)
+        torn = store.path_for(store.key_for(run, {"n": 2, "mode": "ok"}))
+        os.makedirs(os.path.dirname(torn))
+        with open(torn, "w", encoding="utf-8") as fh:
             fh.write('{"truncated": ')  # a torn write from a dead run
 
-        run = partial(demo_point, scratch=scratch)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             points = parallel_sweep(
                 grid,
                 run,
                 jobs=jobs,
-                cache_path=cache,
+                store=store,
                 timeout=timeout,
                 retries=1,
                 backoff=0.01,
@@ -89,21 +94,21 @@ def run_sweep_demo(jobs: int = 2, timeout: float = 1.5) -> Dict[str, Any]:
             if not p.failed and p.extra.get("sweep_attempts", 1) > 1
         ]
 
-        # Re-run: everything that succeeded is served from the cache; the
+        # Re-run: everything that succeeded is served from the store; the
         # broken points run again (their markers now exist, so the transient
         # modes would pass anyway — but they never re-execute at all).
         resumed = parallel_sweep(
             grid,
             run,
             jobs=jobs,
-            cache_path=cache,
+            store=store,
             timeout=timeout,
             retries=0,
             on_error="record",
         )
         resumed_failed = [p for p in resumed if p.failed]
 
-        quarantined = os.path.exists(cache + ".quarantined")
+        quarantined = os.path.exists(torn + ".quarantined")
         summary = {
             "points": len(points),
             "completed": len(points) - len(failed),

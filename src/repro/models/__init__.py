@@ -3,7 +3,7 @@
 The 1998 paper argues that QSM/s-QSM/BSP are *general-purpose* bridging
 models whose bounds transfer across architectures; this package extends
 the comparison to two modern general-purpose models, built as thin cost
-machines over the same phase/superstep IR (``repro.core.ir``):
+machines over the same ``phase()`` / ``superstep()`` API:
 
 * :class:`MPC` — Massively Parallel Computation (``p`` machines, local
   memory ``s``), a :class:`~repro.core.bsp.BSP` subclass whose rounds

@@ -66,7 +66,6 @@ from repro.obs.exporters import (
     write_chrome_trace,
     write_combined_trace,
     write_jsonl,
-    write_scheduler_trace,
 )
 from repro.obs.metrics import REGISTRY, MetricsRegistry, render_metrics_table
 from repro.obs.regress import RegressionReport, compare_bench
@@ -93,7 +92,6 @@ __all__ = [
     "write_chrome_trace",
     "chrome_trace_events",
     "scheduler_trace_events",
-    "write_scheduler_trace",
     "metrics_counter_events",
     "combined_trace_events",
     "write_combined_trace",

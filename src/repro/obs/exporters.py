@@ -29,7 +29,6 @@ __all__ = [
     "chrome_trace_events",
     "write_chrome_trace",
     "scheduler_trace_events",
-    "write_scheduler_trace",
     "metrics_counter_events",
     "trace_span_events",
     "combined_trace_events",
@@ -381,36 +380,6 @@ def scheduler_trace_events(
                 }
             )
     return events
-
-
-def write_scheduler_trace(
-    spans: Iterable[Dict[str, Any]],
-    path: PathOrFile,
-    pid: int = SCHEDULER_PID,
-) -> int:
-    """Write campaign task spans as Chrome trace-event JSON; returns count.
-
-    Same container format as :func:`write_chrome_trace`; load the file at
-    https://ui.perfetto.dev to scrub a campaign's scheduling timeline —
-    per-worker occupancy, cache hits, retries, and failure holes.
-    """
-    events = scheduler_trace_events(spans, pid=pid)
-    payload = {
-        "traceEvents": events,
-        "displayTimeUnit": "ms",
-        "otherData": {
-            "producer": "repro.sched",
-            "clock": "campaign wall time (1 second = 1e6 us)",
-        },
-    }
-    fh, owned = _open_for(path, "w")
-    try:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    finally:
-        if owned:
-            fh.close()
-    return len(events)
 
 
 def write_chrome_trace(

@@ -319,8 +319,8 @@ def dominant_fractions(machine_or_records: Any, digits: Optional[int] = 4) -> Di
     The convenience the sweep drivers use: returns e.g.
     ``{"kappa": 0.62, "g*m_rw": 0.38}`` meaning 62% of the run's charge
     came from contention-bound phases.  ``digits`` rounds the fractions so
-    they serialize stably into ``BENCH_*.json`` caches (pass ``None`` to
-    keep full precision).
+    they serialize stably into stored outcomes (pass ``None`` to keep
+    full precision).
     """
     if isinstance(machine_or_records, list):
         records = machine_or_records

@@ -1,12 +1,12 @@
 """Bench-regression watchdog: diff current bench points against a baseline.
 
-The repo commits its measured trajectory as ``BENCH_*.json`` files (sweep
-caches keyed by point, and the scheduler A/B summary).  This module turns
-those files from archival into *enforced*: :func:`compare_bench` flattens
-a baseline and a current measurement into dotted metric paths, applies
-noise-aware, direction-aware relative tolerances, and reports every
-regression; ``python -m repro bench check`` wires it to the CLI and CI
-(exit 0 clean, 1 regression, 2 usage).
+The repo commits its measured trajectory as ``BENCH_*.json`` files (the
+scheduler summary, the phase-engine benchmark and the cross-model table).
+This module turns those files from archival into *enforced*:
+:func:`compare_bench` flattens a baseline and a current measurement into
+dotted metric paths, applies noise-aware, direction-aware relative
+tolerances, and reports every regression; ``python -m repro bench check``
+wires it to the CLI and CI (exit 0 clean, 1 regression, 2 usage).
 
 Noise handling, per metric class:
 
@@ -87,9 +87,9 @@ def flatten_metrics(data: Any, prefix: str = "") -> Dict[str, Any]:
 
     Handles both committed schemas:
 
-    * sweep caches — ``{point_key: outcome}`` where an outcome dict
-      carries ``measured`` / ``correct`` / ``bound`` (plus config echo
-      that is skipped);
+    * outcome maps — ``{key: outcome}`` where an outcome dict carries
+      ``measured`` / ``correct`` / ``bound`` (plus config echo that is
+      skipped), as :func:`store_outcome_metrics` builds;
     * summary benches — nested dicts of numbers/booleans (e.g.
       ``BENCH_sched.json``'s ``timings`` / ``throughput`` / ``speedup``).
 
@@ -387,8 +387,8 @@ def collect_cross_model_current(
 def store_outcome_metrics(store: Any, limit: Optional[int] = None) -> Dict[str, Any]:
     """Flattenable payload from a :class:`repro.sched.store.ResultStore`.
 
-    Maps each stored key to its outcome dict, so store-backed campaign
-    results diff exactly like a sweep cache (``<key>.measured`` paths).
+    Maps each stored key to its outcome dict, so store-backed results diff
+    point by point (``<key>.measured`` paths).
     """
     out: Dict[str, Any] = {}
     for i, key in enumerate(sorted(store.keys())):

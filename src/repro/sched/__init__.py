@@ -15,9 +15,9 @@ runs from per-driver scripts into a small execution service:
 * :mod:`repro.sched.store` — :class:`~repro.sched.store.ResultStore`, a
   content-addressed outcome store keyed by SHA-256 of (task spec,
   code-relevant version), with atomic writes, schema-validated reads,
-  quarantine of corrupt entries, age-based :meth:`~repro.sched.store.ResultStore.prune`
-  GC, and :func:`~repro.sched.store.import_bench_cache` for migrating the
-  legacy per-driver ``BENCH_*.json`` caches.
+  quarantine of corrupt entries and age-based
+  :meth:`~repro.sched.store.ResultStore.prune` GC — the one result cache,
+  shared by campaigns and ``parallel_sweep(store=...)``.
 * :mod:`repro.sched.campaign` — declarative task DAGs
   (:class:`~repro.sched.campaign.TaskSpec` /
   :class:`~repro.sched.campaign.Campaign`) executed by
@@ -58,7 +58,6 @@ from repro.sched.store import (
     canonical_spec,
     content_key,
     fn_ref,
-    import_bench_cache,
     task_spec,
 )
 from repro.sched.tenancy import (
@@ -78,7 +77,6 @@ __all__ = [
     "canonical_spec",
     "fn_ref",
     "task_spec",
-    "import_bench_cache",
     "TaskSpec",
     "Campaign",
     "TaskSpan",

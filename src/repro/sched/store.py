@@ -20,11 +20,8 @@ Layout: one JSON file per entry under ``<root>/objects/<k[:2]>/<k>.json``
 (fan-out keeps directories small at campaign scale).  Writes are atomic
 (temp file + ``os.replace``), reads validate the entry schema and
 **quarantine** corrupt files (rename to ``*.quarantined``) instead of
-failing the run — the same contract the legacy ``BENCH_*.json`` caches
-had.  :meth:`ResultStore.prune` garbage-collects by age (or everything),
-and :func:`import_bench_cache` migrates a legacy per-driver
-``BENCH_*.json`` into the store, which supersedes those caches behind the
-``parallel_sweep(store=...)`` compatibility path.
+failing the run.  :meth:`ResultStore.prune` garbage-collects by age (or
+everything).
 """
 
 from __future__ import annotations
@@ -46,7 +43,6 @@ __all__ = [
     "canonical_spec",
     "fn_ref",
     "task_spec",
-    "import_bench_cache",
     "STORE_ENV",
 ]
 
@@ -340,37 +336,3 @@ class ResultStore:
                         os.rmdir(shard_dir)
         return pruned
 
-
-def import_bench_cache(
-    store: ResultStore,
-    cache_path: str,
-    run: Callable[..., Any],
-    base_seed: Any = None,
-) -> int:
-    """Migrate a legacy ``BENCH_*.json`` sweep cache into ``store``.
-
-    Entries are re-keyed exactly the way ``parallel_sweep(store=...)``
-    keys live runs — so after migrating, a store-backed re-run of the same
-    driver is served entirely from the imported results.  Legacy keys that
-    do not parse back to a parameter dict are skipped.  Returns the number
-    of imported entries.
-    """
-    if not os.path.exists(cache_path):
-        return 0
-    with open(cache_path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ValueError(f"{cache_path} is not a sweep cache (top level not an object)")
-    imported = 0
-    for legacy_key, outcome in data.items():
-        try:
-            params = json.loads(legacy_key)
-        except ValueError:
-            continue
-        if not isinstance(params, dict) or not isinstance(outcome, dict):
-            continue
-        extra = {"base_seed": base_seed} if base_seed is not None else None
-        key = store.key_for(run, params, extra)
-        store.put(key, outcome, spec=task_spec(run, params, extra))
-        imported += 1
-    return imported

@@ -1,7 +1,6 @@
-"""The worker-pool sweep runner: drop-in equality, caching, seeding,
-and fault tolerance (crashes, hangs, torn caches)."""
+"""The worker-pool sweep runner: drop-in equality, store-backed resume,
+seeding, and fault tolerance (crashes, hangs, torn store entries)."""
 
-import json
 import math
 import os
 import time
@@ -9,18 +8,15 @@ from functools import partial
 
 import pytest
 
-# Alias: the repo's pytest config also collects ``bench_*`` functions, so a
-# bare ``bench_cache_path`` import would be picked up as a benchmark target.
-from repro.analysis.parallel_sweep import bench_cache_path as cache_path_for
 from repro.analysis.parallel_sweep import (
     JOBS_ENV,
     SweepPointError,
     default_jobs,
     derive_point_seed,
     parallel_sweep,
-    point_key,
 )
 from repro.analysis.sweep import sweep
+from repro.sched.store import ResultStore
 
 GRID = {"n": [4, 8], "g": [1.0, 2.0]}
 
@@ -34,7 +30,7 @@ def run_seeded(n, g, seed=None):
 
 
 def run_forbidden(n, g):
-    raise AssertionError("point should have been served from the cache")
+    raise AssertionError("point should have been served from the store")
 
 
 CALLS = []
@@ -60,32 +56,22 @@ class TestDropIn:
 
 class TestCache:
     def test_completed_points_are_skipped(self, tmp_path):
-        cache = str(tmp_path / "BENCH_test.json")
-        first = parallel_sweep(GRID, run_point, jobs=1, cache_path=cache)
-        assert os.path.exists(cache)
-        # Every point is cached, so a rerun never calls run at all.
-        second = parallel_sweep(GRID, run_forbidden, jobs=1, cache_path=cache)
+        store = ResultStore(str(tmp_path))
+        first = parallel_sweep(GRID, run_point, jobs=1, store=store,
+                               store_scope="grid")
+        assert store.stats().entries == 4
+        # Every point is stored, so a rerun never calls run at all.
+        second = parallel_sweep(GRID, run_forbidden, jobs=1, store=store,
+                                store_scope="grid")
         assert second == first
 
     def test_partial_cache_runs_only_missing_points(self, tmp_path):
-        cache = str(tmp_path / "BENCH_partial.json")
-        parallel_sweep({"n": [4], "g": [1.0]}, run_counting, jobs=1, cache_path=cache)
+        store = ResultStore(str(tmp_path))
+        parallel_sweep({"n": [4], "g": [1.0]}, run_counting, jobs=1, store=store)
         CALLS.clear()
-        points = parallel_sweep(GRID, run_counting, jobs=1, cache_path=cache)
+        points = parallel_sweep(GRID, run_counting, jobs=1, store=store)
         assert len(points) == 4
-        assert sorted(CALLS) == [(4, 2.0), (8, 1.0), (8, 2.0)]  # (4, 1.0) cached
-
-    def test_cache_file_is_json_keyed_by_point(self, tmp_path):
-        cache = str(tmp_path / "BENCH_keys.json")
-        parallel_sweep(GRID, run_point, jobs=1, cache_path=cache)
-        with open(cache, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        assert set(data) == {point_key(p) for p in
-                             ({"n": n, "g": g} for n in GRID["n"] for g in GRID["g"])}
-
-    def test_bench_cache_path_convention(self, tmp_path):
-        path = cache_path_for("t1a parity", root=str(tmp_path))
-        assert path == str(tmp_path / "BENCH_t1a_parity.json")
+        assert sorted(CALLS) == [(4, 2.0), (8, 1.0), (8, 2.0)]  # (4, 1.0) stored
 
 
 class TestSeeding:
@@ -236,44 +222,47 @@ class TestFaultTolerance:
 
 class TestCacheRobustness:
     def test_unreadable_cache_is_quarantined_not_fatal(self, tmp_path):
-        cache = str(tmp_path / "BENCH_torn.json")
-        with open(cache, "w", encoding="utf-8") as fh:
-            fh.write('{"truncated": ')
+        store = ResultStore(str(tmp_path))
+        key = store.key_for(healthy_point, {"n": 2})
+        path = store.path_for(key)
+        os.makedirs(os.path.dirname(path))
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write('{"truncated": ')  # a torn write from a dead run
         with pytest.warns(RuntimeWarning, match="quarantin"):
             points = parallel_sweep({"n": [2]}, healthy_point, jobs=1,
-                                    cache_path=cache)
-        assert [p.measured for p in points] == [2.0]
-        assert os.path.exists(cache + ".quarantined")
-        # The fresh cache written afterwards is valid JSON again.
-        with open(cache, "r", encoding="utf-8") as fh:
-            assert json.load(fh)
+                                    store=store)
+        assert [p.measured for p in points] == [2.0]  # the point re-ran
+        assert os.path.exists(path + ".quarantined")
+        # The fresh entry written afterwards is valid again.
+        assert store.get_outcome(key)["measured"] == 2.0
 
     def test_schema_invalid_entries_are_dropped_and_rerun(self, tmp_path):
-        cache = str(tmp_path / "BENCH_badentry.json")
-        key = point_key({"n": 2})
-        with open(cache, "w", encoding="utf-8") as fh:
-            json.dump({key: {"bogus": True}}, fh)
-        with pytest.warns(RuntimeWarning, match="schema"):
-            [point] = parallel_sweep({"n": [2]}, healthy_point, jobs=1,
-                                     cache_path=cache)
+        store = ResultStore(str(tmp_path))
+        key = store.key_for(healthy_point, {"n": 2})
+        store.put(key, {"bogus": True})  # a valid entry, but not an outcome
+        [point] = parallel_sweep({"n": [2]}, healthy_point, jobs=1, store=store)
         assert point.measured == 2.0  # re-run, not served from the bad entry
+        assert store.get_outcome(key) == {"measured": 2.0, "correct": True}
 
     def test_error_outcomes_are_never_cached(self, tmp_path):
-        cache = str(tmp_path / "BENCH_err.json")
-        parallel_sweep({"n": [2, 3]}, broken_point, jobs=1,
-                       cache_path=cache, on_error="record")
+        store = ResultStore(str(tmp_path))
+        parallel_sweep({"n": [2, 3]}, broken_point, jobs=1, store=store,
+                       store_scope="heal", on_error="record")
+        assert store.stats().entries == 1  # only the good point
         # Resume with a healthy run: the failed point re-executes and heals,
-        # the good point is served from the cache.
+        # the good point is served from the store.
         points = parallel_sweep({"n": [2, 3]}, healthy_point, jobs=1,
-                                cache_path=cache)
+                                store=store, store_scope="heal")
         assert [p.failed for p in points] == [False, False]
         assert [p.measured for p in points] == [2.0, 3.0]
+        assert store.stats().entries == 2
 
     def test_partial_results_cached_even_when_a_point_raises(self, tmp_path):
-        cache = str(tmp_path / "BENCH_partial_fail.json")
+        store = ResultStore(str(tmp_path))
         with pytest.raises(SweepPointError):
-            parallel_sweep({"n": [2, 3]}, broken_point, jobs=1,
-                           cache_path=cache)
-        with open(cache, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        assert point_key({"n": 2}) in data  # the completed point survived
+            parallel_sweep({"n": [2, 3]}, broken_point, jobs=1, store=store)
+        # The completed point survived; the failed one was never stored.
+        assert store.get_outcome(store.key_for(broken_point, {"n": 2})) == {
+            "measured": 2.0, "correct": True,
+        }
+        assert store.get_outcome(store.key_for(broken_point, {"n": 3})) is None

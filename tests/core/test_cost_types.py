@@ -21,12 +21,6 @@ from repro.core import (
     GSMParams,
     QSMParams,
     SQSMParams,
-    run_phase,
-    run_superstep,
-    LocalOp,
-    SendOp,
-    WriteBlockOp,
-    WriteOp,
 )
 from repro.core.cost import (
     bsp_cost_terms,
@@ -113,11 +107,6 @@ class TestTermsAreFloat:
 class TestEnginesProduceIdenticalTerms:
     def test_reference_and_vector_term_dicts_identical(self):
         pytest.importorskip("numpy")
-        prog = [
-            WriteOp(0, 3, 10),
-            WriteBlockOp(1, range(4, 9), [1, 2, 3, 4, 5]),
-            LocalOp(2, 6),
-        ]
         machines = [
             lambda eng: QSM(QSMParams(g=2), record_costs=True, engine=eng),
             lambda eng: SQSM(SQSMParams(g=3), record_costs=True, engine=eng),
@@ -126,8 +115,11 @@ class TestEnginesProduceIdenticalTerms:
         ]
         for make in machines:
             ref, vec = make("reference"), make("vector")
-            run_phase(ref, prog)
-            run_phase(vec, prog)
+            for machine in (ref, vec):
+                with machine.phase() as ph:
+                    ph.write(0, 3, 10)
+                    ph.write_cols(1, range(4, 9), [1, 2, 3, 4, 5])
+                    ph.local(2, 6)
             (ref_rec,), (vec_rec,) = ref.cost_records, vec.cost_records
             assert ref_rec.terms == vec_rec.terms
             assert [type(v) for v in ref_rec.terms.values()] == [
@@ -143,9 +135,10 @@ class TestEnginesProduceIdenticalTerms:
             return BSP(4, BSPParams(g=2, L=4), record_costs=True, engine=eng)
 
         ref, vec = make("reference"), make("vector")
-        prog = [SendOp(0, 1, "x"), SendOp(2, 1, "y")]
-        run_superstep(ref, prog)
-        run_superstep(vec, prog)
+        for machine in (ref, vec):
+            with machine.superstep() as ss:
+                ss.send(0, 1, "x")
+                ss.send(2, 1, "y")
         (ref_rec,), (vec_rec,) = ref.cost_records, vec.cost_records
         assert ref_rec.terms == vec_rec.terms
         assert all(type(v) is float for v in vec_rec.terms.values())

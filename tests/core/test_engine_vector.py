@@ -259,15 +259,16 @@ class TestVectorBlockReadHandle:
         assert GSM(engine="vector").engine == "vector"
 
 
-class TestIRReplay:
-    def test_run_phase_returns_resolved_handles_in_program_order(self):
-        from repro.core import QSM, ReadBlockOp, ReadOp, WriteOp, run_phase
+class TestPhaseHandles:
+    def test_handles_resolve_after_commit_in_program_order(self):
+        from repro.core import QSM
 
         machine = QSM(engine="vector")
-        run_phase(machine, [WriteOp(0, 2, 5), WriteOp(0, 3, 6)])
-        handles = run_phase(
-            machine, [ReadOp(1, 2), ReadBlockOp(2, range(2, 4)), ReadOp(3, 3)]
-        )
+        with machine.phase() as ph:
+            ph.write(0, 2, 5)
+            ph.write(0, 3, 6)
+        with machine.phase() as ph:
+            handles = [ph.read(1, 2), ph.read_block(2, range(2, 4)), ph.read(3, 3)]
         assert handles[0].value == 5
         assert list(handles[1].values) == [5, 6]
         assert handles[2].value == 6

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core import PEMParams, SharedMemoryMachine
-from repro.core.ir import WriteOp, run_phase
 from repro.faults.winners import LastWriterWins
 from repro.models import PEM
 
@@ -53,7 +52,9 @@ class TestIOCharge:
     def test_contention_serializes_at_block_level(self):
         # kappa = 4 writers on one cell beats ceil(4/8) = 1.
         machine = PEM(PEMParams(M=64, B=8), num_processors=4)
-        run_phase(machine, [WriteOp(i, 0, i) for i in range(4)])
+        with machine.phase() as ph:
+            for i in range(4):
+                ph.write(i, 0, i)
         assert machine.time == 4.0
 
     def test_local_ops_never_exceed_the_unit_floor(self):
@@ -79,15 +80,17 @@ class TestIOCharge:
 class TestWriteSemantics:
     def test_arbitrary_winner_via_policy(self):
         machine = PEM(winner_policy=LastWriterWins())
-        run_phase(machine, [WriteOp(0, 5, "first"), WriteOp(1, 5, "second")])
+        with machine.phase() as ph:
+            ph.write(0, 5, "first")
+            ph.write(1, 5, "second")
         assert machine._memory[5] == "second"
 
     def test_seeded_winner_is_deterministic(self):
         def run():
             machine = PEM(seed=21)
-            run_phase(
-                machine, [WriteOp(i, 3, f"v{i}") for i in range(4)]
-            )
+            with machine.phase() as ph:
+                for i in range(4):
+                    ph.write(i, 3, f"v{i}")
             return machine._memory[3]
 
         assert run() == run()

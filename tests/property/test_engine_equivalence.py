@@ -4,10 +4,10 @@ The vector engine promises to be a drop-in for the reference engine: same
 ``PhaseRecord`` / ``SuperstepRecord`` streams, same phase costs and cost
 records, same final memory, same delivered read values and inboxes, same
 traces — and the same winner-policy RNG draws, so even arbitrary-winner
-collisions resolve identically on seeded machines.  Randomized IR programs
-(scalar and block reads/writes, local charges, collisions, duplicates,
-conflicts, faults) are replayed through both engines and every observable
-compared.
+collisions resolve identically on seeded machines.  Randomized programs —
+lists of ``(method, args)`` calls on an open phase or superstep (scalar and
+block reads/writes, local charges, collisions, duplicates, conflicts,
+faults) — are replayed through both engines and every observable compared.
 """
 
 from dataclasses import replace
@@ -27,18 +27,8 @@ from repro.core import (
     QSMGD,
     SQSM,
     BSPParams,
-    LocalOp,
     MemoryConflictError,
     PRAMParams,
-    ReadBlockOp,
-    ReadOp,
-    SendBlockOp,
-    SendOp,
-    WorkOp,
-    WriteBlockOp,
-    WriteOp,
-    run_phase,
-    run_superstep,
 )
 from repro.faults.plan import random_fault_plan
 from repro.faults.winners import FirstWriterWins, LastWriterWins, SeededWinners
@@ -59,27 +49,50 @@ def _block_addrs():
     return st.one_of(explicit, contiguous)
 
 
+def _call(method, *args):
+    """One ``(method, args)`` program step, built from strategies."""
+    return st.tuples(st.just(method), st.tuples(*args))
+
+
 def _write_ops():
     return st.one_of(
-        st.builds(WriteOp, PROCS, ADDRS, VALUES),
+        _call("write", PROCS, ADDRS, VALUES),
         st.builds(
-            lambda proc, addrs, seed: WriteBlockOp(
-                proc, addrs, [seed + i for i in range(len(addrs))]
+            lambda proc, addrs, seed: (
+                "write_cols", (proc, addrs, [seed + i for i in range(len(addrs))])
             ),
             PROCS,
             _block_addrs(),
             VALUES,
         ),
-        st.builds(LocalOp, PROCS, st.integers(0, 4)),
+        _call("local", PROCS, st.integers(0, 4)),
     )
 
 
 def _read_ops():
     return st.one_of(
-        st.builds(ReadOp, PROCS, ADDRS),
-        st.builds(ReadBlockOp, PROCS, _block_addrs()),
-        st.builds(LocalOp, PROCS, st.integers(0, 4)),
+        _call("read", PROCS, ADDRS),
+        _call("read_block", PROCS, _block_addrs()),
+        _call("local", PROCS, st.integers(0, 4)),
     )
+
+
+def _replay_phase(machine, program):
+    """Replay ``program`` as one phase; return the handles its reads got."""
+    handles = []
+    with machine.phase() as ph:
+        for method, args in program:
+            handle = getattr(ph, method)(*args)
+            if method in ("read", "read_block"):
+                handles.append(handle)
+    return handles
+
+
+def _replay_superstep(bsp, program):
+    """Replay ``program`` as one superstep."""
+    with bsp.superstep() as ss:
+        for method, args in program:
+            getattr(ss, method)(*args)
 
 
 write_phases = st.lists(_write_ops(), min_size=0, max_size=8)
@@ -145,8 +158,8 @@ def _run_both(make, writes, reads):
     for machine in (ref, vec):
         vals = []
         try:
-            vals.append(_read_values(run_phase(machine, writes)))
-            vals.append(_read_values(run_phase(machine, reads)))
+            vals.append(_read_values(_replay_phase(machine, writes)))
+            vals.append(_read_values(_replay_phase(machine, reads)))
             results.append(("ok", vals))
         except MemoryConflictError as exc:
             results.append(("conflict", str(exc)))
@@ -185,7 +198,7 @@ class TestSharedMemoryBitEquality:
         ref, vec = make("reference"), make("vector")
         for machine in (ref, vec):
             policy.reset()
-            run_phase(machine, writes)
+            _replay_phase(machine, writes)
         assert ref.history == vec.history
         assert ref._memory == vec._memory
 
@@ -205,7 +218,7 @@ class TestSharedMemoryBitEquality:
         ref, vec = make("reference"), make("vector")
         for machine in (ref, vec):
             policy.reset()
-            run_phase(machine, writes)
+            _replay_phase(machine, writes)
         assert ref.history == vec.history
         assert ref._memory == vec._memory
         assert ref.phase_costs == vec.phase_costs
@@ -217,7 +230,7 @@ class TestSharedMemoryBitEquality:
             plan = random_fault_plan("shared", seed=seed, max_faults=2)
             machine = QSM(seed=5, fault_plan=plan, record_costs=True, engine=eng)
             for _ in range(3):
-                run_phase(machine, writes)
+                _replay_phase(machine, writes)
             return machine
 
         ref, vec = run("reference"), run("vector")
@@ -244,10 +257,10 @@ class TestPRAMBitEquality:
                 engine=eng,
             )
 
-        prog = [WriteOp(i, a, value + i) for i, a in enumerate(addrs)]
+        prog = [("write", (i, a, value + i)) for i, a in enumerate(addrs)]
         ref, vec = make("reference"), make("vector")
-        run_phase(ref, prog)
-        run_phase(vec, prog)
+        _replay_phase(ref, prog)
+        _replay_phase(vec, prog)
         assert ref.history == vec.history
         assert ref._memory == vec._memory
 
@@ -255,16 +268,16 @@ class TestPRAMBitEquality:
 class TestBSPBitEquality:
     send_programs = st.lists(
         st.one_of(
-            st.builds(SendOp, st.integers(0, 3), st.integers(0, 3), VALUES),
+            _call("send", st.integers(0, 3), st.integers(0, 3), VALUES),
             st.builds(
-                lambda src, dsts, seed: SendBlockOp(
-                    src, dsts, [seed + i for i in range(len(dsts))]
+                lambda src, dsts, seed: (
+                    "send_cols", (src, dsts, [seed + i for i in range(len(dsts))])
                 ),
                 st.integers(0, 3),
                 st.lists(st.integers(0, 3), min_size=0, max_size=6),
                 VALUES,
             ),
-            st.builds(WorkOp, st.integers(0, 3), st.integers(0, 4)),
+            _call("local", st.integers(0, 3), st.integers(0, 4)),
         ),
         min_size=0,
         max_size=8,
@@ -278,8 +291,8 @@ class TestBSPBitEquality:
 
         ref, vec = make("reference"), make("vector")
         for machine in (ref, vec):
-            run_superstep(machine, program)
-            run_superstep(machine, program[::-1])
+            _replay_superstep(machine, program)
+            _replay_superstep(machine, program[::-1])
         assert ref.history == vec.history
         assert ref.step_costs == vec.step_costs
         assert all(ref.inbox(i) == vec.inbox(i) for i in range(4))
@@ -292,7 +305,7 @@ class TestBSPBitEquality:
             plan = random_fault_plan("bsp", seed=seed, max_faults=2, procs=4)
             machine = BSP(4, BSPParams(g=2, L=2), fault_plan=plan, engine=eng)
             for _ in range(3):
-                run_superstep(machine, program)
+                _replay_superstep(machine, program)
             return machine
 
         ref, vec = run("reference"), run("vector")
@@ -318,8 +331,8 @@ class TestMPCBitEquality:
 
         ref, vec = make("reference"), make("vector")
         for machine in (ref, vec):
-            run_superstep(machine, program)
-            run_superstep(machine, program[::-1])
+            _replay_superstep(machine, program)
+            _replay_superstep(machine, program[::-1])
         assert ref.history == vec.history
         assert ref.step_costs == vec.step_costs
         assert ref.rounds == vec.rounds
@@ -334,7 +347,7 @@ class TestMPCBitEquality:
             plan = random_fault_plan("bsp", seed=seed, max_faults=2, procs=4)
             machine = MPC(4, MPCParams(s=3), fault_plan=plan, engine=eng)
             for _ in range(3):
-                run_superstep(machine, program)
+                _replay_superstep(machine, program)
             return machine
 
         ref, vec = run("reference"), run("vector")

@@ -190,6 +190,23 @@ class TestResume:
         assert run_count(marker, "b") == 2  # only the dropped task re-ran
         assert run_count(marker, "c") == 1
 
+    def test_driver_sweep_and_campaign_share_one_cache(self, tmp_path):
+        # A point the t1a driver swept into the store is a cached task of
+        # the table1 campaign: both key it by (run_t1a_point, params).
+        from benchmarks.bench_table1_qsm_time import run_t1a_point
+        from repro.analysis.parallel_sweep import parallel_sweep
+        from repro.sched.campaign import CampaignExecution
+        from repro.sched.campaigns import table1_campaign
+
+        store = ResultStore(str(tmp_path))
+        grid = {"problem": ["OR"], "variant": ["deterministic"], "n": [64]}
+        [point] = parallel_sweep(grid, run_t1a_point, jobs=1, store=store)
+        ex = CampaignExecution(table1_campaign(ns=[64]), store)
+        assert ex.counts == {"cached": 1}  # the resume pass served it
+        span = ex.spans["t1a/OR/deterministic/n=64"]
+        assert span.status == "cached"
+        assert ex.outcomes[span.name]["measured"] == point.measured
+
     def test_campaign_status_tracks_the_store(self, tmp_path):
         camp = Campaign("c", [
             TaskSpec("a", emit, {"value": 1}),

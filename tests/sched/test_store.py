@@ -11,7 +11,6 @@ from repro.sched.store import (
     canonical_spec,
     content_key,
     fn_ref,
-    import_bench_cache,
     task_spec,
 )
 
@@ -184,37 +183,6 @@ class TestPrune:
         assert store.stats().quarantined == 1
         store.prune()
         assert store.stats().quarantined == 0
-
-
-class TestBenchCacheMigration:
-    def test_import_rekeys_like_live_runs(self, tmp_path):
-        # A legacy BENCH_*.json maps json-encoded params to outcomes.
-        legacy = {
-            json.dumps({"n": 4}, sort_keys=True): {"measured": 16.0, "correct": True},
-            json.dumps({"n": 8}, sort_keys=True): {"measured": 32.0, "correct": True},
-            "not-json-params": {"measured": 0.0},
-        }
-        cache = tmp_path / "BENCH_demo.json"
-        cache.write_text(json.dumps(legacy))
-        store = ResultStore(str(tmp_path / "store"))
-        imported = import_bench_cache(store, str(cache), point_fn)
-        assert imported == 2
-        # Live keying (what parallel_sweep(store=...) computes) hits the
-        # imported entries directly.
-        assert store.get_outcome(store.key_for(point_fn, {"n": 4})) == {
-            "measured": 16.0, "correct": True,
-        }
-
-    def test_import_missing_cache_is_a_noop(self, tmp_path):
-        store = ResultStore(str(tmp_path / "store"))
-        assert import_bench_cache(store, str(tmp_path / "nope.json"), point_fn) == 0
-
-    def test_import_rejects_non_object_cache(self, tmp_path):
-        bad = tmp_path / "BENCH_bad.json"
-        bad.write_text("[1, 2, 3]")
-        store = ResultStore(str(tmp_path / "store"))
-        with pytest.raises(ValueError, match="not a sweep cache"):
-            import_bench_cache(store, str(bad), point_fn)
 
 
 class TestConcurrentWriters:
