@@ -7,6 +7,7 @@ cell's bound, that Parity deterministic is Theta-tight, and the L-response
 
 from __future__ import annotations
 
+from typing import Dict, Tuple
 
 import pytest
 
@@ -108,7 +109,8 @@ def L_response():
     return out
 
 
-def main() -> None:
+def main() -> Dict[Tuple[str, str], str]:
+    """Print the table; return each cell's verdict (see ``summarise_cell``)."""
     rows = collect_rows()
     verdicts = {}
     for problem in ("LAC", "OR", "Parity"):
@@ -121,6 +123,7 @@ def main() -> None:
     print("L-response (Parity det, n=1024, L/g fixed at 4):")
     for L_, measured, bound in L_response():
         print(f"  L={L_:4g}  measured={measured:8.0f}  bound={bound:8.1f}  ratio={measured/bound:5.2f}")
+    return verdicts
 
 
 # --- pytest-benchmark targets ------------------------------------------------

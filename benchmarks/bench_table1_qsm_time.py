@@ -19,6 +19,7 @@ Expected shapes (paper):
 
 from __future__ import annotations
 
+from typing import Dict, Tuple
 
 import pytest
 
@@ -168,7 +169,8 @@ def concurrent_reads_rows():
     return rows
 
 
-def main() -> None:
+def main() -> Dict[Tuple[str, str], str]:
+    """Print the table; return each cell's verdict (see ``summarise_cell``)."""
     rows = collect_rows() + lac_nproc_rows() + concurrent_reads_rows()
     verdicts = {}
     for problem in ("LAC", "LAC(n-proc)", "OR", "Parity", "Parity(CR)"):
@@ -179,6 +181,7 @@ def main() -> None:
             tight = problem == "Parity(CR)"
             verdicts[(problem, variant)] = summarise_cell(cell, tight=tight, band=8.0)
     print_rows('Table 1a: "Time Lower Bounds for QSM" (measured vs bound)', rows, verdicts)
+    return verdicts
 
 
 # --- pytest-benchmark targets (one per problem family) ----------------------

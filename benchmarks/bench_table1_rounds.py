@@ -10,6 +10,7 @@ that simple prefix-sums-style algorithms match the round lower bounds.
 
 from __future__ import annotations
 
+from typing import Dict, Tuple
 
 import pytest
 
@@ -119,7 +120,8 @@ def collect_rows():
     ]
 
 
-def main() -> None:
+def main() -> Dict[Tuple[str, str], str]:
+    """Print the table; return each cell's verdict (see ``summarise_cell``)."""
     rows = collect_rows()
     verdicts = {}
     for problem in ("LAC", "OR", "Parity"):
@@ -133,6 +135,7 @@ def main() -> None:
         rows,
         verdicts,
     )
+    return verdicts
 
 
 # --- pytest-benchmark targets ------------------------------------------------

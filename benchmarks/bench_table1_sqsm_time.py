@@ -8,6 +8,7 @@ verifies the linear-in-g response all six formulas share on this model.
 
 from __future__ import annotations
 
+from typing import Dict, Tuple
 
 import pytest
 
@@ -105,7 +106,8 @@ def g_response():
     return out
 
 
-def main() -> None:
+def main() -> Dict[Tuple[str, str], str]:
+    """Print the table; return each cell's verdict (see ``summarise_cell``)."""
     rows = collect_rows()
     verdicts = {}
     for problem in ("LAC", "OR", "Parity"):
@@ -118,6 +120,7 @@ def main() -> None:
     print("g-response (Parity det, n=1024):")
     for g, measured, bound in g_response():
         print(f"  g={g:4g}  measured={measured:8.0f}  bound={bound:8.1f}  ratio={measured/bound:5.2f}")
+    return verdicts
 
 
 # --- pytest-benchmark targets ------------------------------------------------

@@ -160,6 +160,16 @@ def summarise_cell(rows: Sequence[CellRow], tight: bool, band: float = 6.0) -> s
     return f"gap(spread={spread:.1f})"
 
 
+def failing_verdicts(verdicts: Dict[tuple, str]) -> List[str]:
+    """The cells whose verdict says the reproduction is broken — a wrong
+    answer, or a measured cost under the lower bound — as ``cell: verdict``."""
+    return [
+        f"{'/'.join(map(str, cell))}: {verdict}"
+        for cell, verdict in verdicts.items()
+        if verdict == "WRONG-ANSWER" or verdict.startswith("VIOLATION")
+    ]
+
+
 def print_rows(title: str, rows: Sequence[CellRow], verdicts: Dict[tuple, str]) -> str:
     table_rows = []
     for r in rows:

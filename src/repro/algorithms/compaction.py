@@ -111,24 +111,19 @@ def lac_dart(
         segments.append((seg_base, m_t))
         # Phase 1: every live item darts into a random slot of the fresh
         # segment, writing a unique tag (its original index).
-        darts: List[Tuple[int, Any, int]] = []  # (orig_idx, value, slot_addr)
+        tags = [orig_idx for orig_idx, _ in live]
+        slots = [seg_base + int(rng.integers(0, m_t)) for _ in live]
         with machine.phase() as ph:
-            for orig_idx, value in live:
-                slot = seg_base + int(rng.integers(0, m_t))
-                ph.write(orig_idx, slot, orig_idx)
-                darts.append((orig_idx, value, slot))
+            ph.write_each(tags, slots, tags)
         max_contention = max(max_contention, machine.history[-1].kappa)
         # Phase 2: each dart-thrower reads its slot back; the tag that
         # survived the arbitrary-winner write owns the slot.
-        handles = []
         with machine.phase() as ph:
-            for orig_idx, value, slot in darts:
-                handles.append((orig_idx, value, slot, ph.read(orig_idx, slot)))
+            owners = ph.read_each(tags, slots)
         max_contention = max(max_contention, machine.history[-1].kappa)
         survivors: List[Tuple[int, Any]] = []
         winners: List[Tuple[int, Any, int]] = []
-        for orig_idx, value, slot, handle in handles:
-            got = handle.value
+        for (orig_idx, value), slot, got in zip(live, slots, owners.values):
             if isinstance(machine, GSM) and isinstance(got, tuple):
                 # Strong queuing keeps every tag; lowest-indexed writer wins
                 # by convention so the protocol still elects one owner.
@@ -139,29 +134,25 @@ def lac_dart(
                 survivors.append((orig_idx, value))
         # Phase 3: winners deposit their payloads (contention 1 per slot).
         if winners:
+            won_tags, won_values, won_slots = zip(*winners)
             with machine.phase() as ph:
-                for orig_idx, value, slot in winners:
-                    ph.write(orig_idx, slot, value)
-            for _, value, slot in winners:
-                placed[slot] = value
+                ph.write_each(won_tags, won_slots, won_values)
+            placed.update(zip(won_slots, won_values))
         live = survivors
         rounds += 1
 
     fallback_items = len(live)
     if live:
-        # Deterministic mop-up for the (w.h.p. empty) remainder.
-        tail = [None] * max(1, 2 * len(live))
-        for j, (_, value) in enumerate(live):
-            tail[j] = value
-        seg_base = alloc.alloc(len(tail))
-        segments.append((seg_base, len(tail)))
+        # Deterministic mop-up for the (w.h.p. empty) remainder: item j of
+        # the remainder goes to cell j of a fresh segment twice its size.
+        tail_size = max(1, 2 * len(live))
+        seg_base = alloc.alloc(tail_size)
+        segments.append((seg_base, tail_size))
+        cells = range(seg_base, seg_base + len(live))
+        values = [v for _, v in live]
         with machine.phase() as ph:
-            for j, v in enumerate(tail):
-                if v is not None:
-                    ph.write(j, seg_base + j, v)
-        for j, v in enumerate(tail):
-            if v is not None:
-                placed[seg_base + j] = v
+            ph.write_each(range(len(live)), cells, values)
+        placed.update(zip(cells, values))
 
     # Materialise the destination array in segment order.
     out: List[Any] = []
@@ -204,9 +195,11 @@ def lac_prefix(
 
     out_base = alloc.alloc(len(items))
     with machine.phase() as ph:
-        for i, v in enumerate(array):
-            if v is not None:
-                ph.write(i, out_base + ranks[i] - 1, v)
+        ph.write_each(
+            [i for i, _ in items],
+            [out_base + ranks[i] - 1 for i, _ in items],
+            [v for _, v in items],
+        )
 
     out = [machine.peek(out_base + j) for j in range(len(items))]
     if isinstance(machine, GSM):

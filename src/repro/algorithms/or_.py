@@ -103,7 +103,7 @@ def or_tree_writes(
     base = alloc.alloc(n)
     machine.load(values, base=base)
     current = values
-    owners = list(range(n))
+    owners = range(n)
     proc = n
     levels = 0
     while len(current) > 1:
@@ -112,24 +112,21 @@ def or_tree_writes(
         # An all-zero level leaves the phase empty; the model defines an
         # empty phase to have contention 1 and it is still charged.
         with machine.phase() as ph:
-            for i, v in enumerate(current):
-                if v == 1:
-                    ph.write(owners[i], nxt + i // k, 1)
-        handles = []
+            ones = [i for i, v in enumerate(current) if v == 1]
+            ph.write_each(
+                [owners[i] for i in ones], [nxt + i // k for i in ones], [1] * len(ones)
+            )
+        readers = range(proc, proc + groups)
         with machine.phase() as ph:
-            for j in range(groups):
-                handles.append(ph.read(proc + j, nxt + j))
+            cells = ph.read_each(readers, range(nxt, nxt + groups))
         new_vals = []
-        new_owners = []
-        for j, h in enumerate(handles):
-            got = h.value
+        for got in cells.values:
             if isinstance(machine, GSM) and isinstance(got, tuple):
                 got = 1 if any(x == 1 for x in got) else 0
             new_vals.append(1 if got == 1 else 0)
-            new_owners.append(h.proc)
         proc += groups
         current = new_vals
-        owners = new_owners
+        owners = readers
         levels += 1
 
     return meter.result(current[0], fan_in=k, levels=levels)

@@ -32,7 +32,10 @@ Four implementations, matching the paper's claims:
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Union
+from functools import reduce
+from itertools import compress, repeat
+from operator import add, ne, xor
+from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.algorithms.common import Allocator, CostMeter, RunResult, bsp_fanin, fresh_allocator
 from repro.core.bsp import BSP
@@ -103,25 +106,17 @@ def parity_tree(
     while size > 1:
         groups = -(-size // k)
         nxt = alloc.alloc(groups)
-        handles = []
+        # Leader j reads its (up to) k children; one column over the level.
+        leaders = range(proc, proc + groups)
         with machine.phase() as ph:
-            for j in range(groups):
-                handles.append(
-                    ph.read_block(
-                        proc + j,
-                        range(base + j * k, base + min((j + 1) * k, size)),
-                    )
-                )
-        new_vals = []
+            children = ph.read_each(
+                [proc + i // k for i in range(size)], range(base, base + size)
+            )
+        got = [int(_unwrap(machine, v)) for v in children.values]
+        pars = [reduce(xor, got[j:j + k], 0) for j in range(0, size, k)]
         with machine.phase() as ph:
-            for j, hs in enumerate(handles):
-                got = [_unwrap(machine, v) for v in hs.values]
-                par = 0
-                for v in got:
-                    par ^= int(v)
-                ph.local(proc + j, len(got))
-                ph.write(proc + j, nxt + j, par)
-                new_vals.append(par)
+            ph.local_each(leaders, [min(k, size - j) for j in range(0, size, k)])
+            ph.write_each(leaders, range(nxt, nxt + groups), pars)
         proc += groups
         base, size = nxt, groups
         levels += 1
@@ -184,47 +179,51 @@ def parity_blocks(
         groups = -(-size // b)
         out_base = alloc.alloc(groups)
         flag_base = alloc.alloc(groups << b)  # mismatch flags, one per (block, pattern)
+        # Block j holds bits j*b .. j*b + w_j - 1.  Its patterns q < 2^w_j
+        # are numbered k = j*2^b + q — consecutive, as only the last block
+        # can be narrower — and pattern k's flag is cell flag_base + k.
+        widths = [min(b, size - j * b) for j in range(groups)]
+        patterns = ((groups - 1) << b) + (1 << widths[-1])
+        tiles = {w: _block_tiles(w) for w in set(widths)}
 
-        # Phase A: reader (block j, pattern q, position i) reads bit j*b+i.
-        read_handles = {}
+        # Phase A: reader (block j, pattern q, position i) reads bit j*b+i;
+        # readers are numbered in (j, q, i) order.
+        addrs: List[int] = []
+        flags: List[int] = []
+        wants: List[int] = []
+        for j, w in enumerate(widths):
+            positions, pattern_of, want = tiles[w]
+            addrs += map(add, positions, repeat(base + j * b))
+            flags += map(add, pattern_of, repeat(flag_base + (j << b)))
+            wants += want
+        readers = range(proc, proc + len(addrs))
+        proc += len(addrs)
         with machine.phase() as ph:
-            for j in range(groups):
-                width = min(b, size - j * b)
-                for q in range(1 << width):
-                    for i in range(width):
-                        pid = proc
-                        proc += 1
-                        read_handles[(j, q, i)] = ph.read(pid, base + j * b + i)
+            bits_read = ph.read_each(readers, addrs)
 
-        # Phase B: mismatching readers flag their pattern cell.
-        # Each mismatching reader (same processor id as in Phase A) flags its
-        # pattern cell.
+        # Phase B: each mismatching reader flags its pattern cell.
+        mismatch = list(map(ne, bits_read.values, wants))
         with machine.phase() as ph:
-            for (j, q, i), handle in read_handles.items():
-                bit = int(handle.value)
-                want = (q >> i) & 1
-                if bit != want:
-                    ph.write(_reader_pid(j, q, i, read_handles), flag_base + (j << b) + q, 1)
+            flaggers = list(compress(readers, mismatch))
+            ph.write_each(flaggers, list(compress(flags, mismatch)), [1] * len(flaggers))
 
-        # Phase C: one checker per (block, pattern) reads the flag cell.
-        checker_handles = {}
+        # Phase C: checker k reads the flag cell of pattern k.
+        checkers = range(proc, proc + patterns)
+        proc += patterns
         with machine.phase() as ph:
-            for j in range(groups):
-                width = min(b, size - j * b)
-                for q in range(1 << width):
-                    pid = proc
-                    proc += 1
-                    checker_handles[(j, q)] = (pid, ph.read(pid, flag_base + (j << b) + q))
+            flagged = ph.read_each(checkers, range(flag_base, flag_base + patterns))
 
-        # Phase D: the unique unflagged pattern per block writes its parity.
-        new_vals = [0] * groups
+        # Phase D: the unique unflagged pattern per block (no mismatch: q
+        # is the block's contents) writes its parity.
+        clean = [k for k, v in enumerate(flagged.values) if v is None]
         with machine.phase() as ph:
-            for (j, q), (pid, handle) in checker_handles.items():
-                if handle.value is None:  # no mismatch: q is the block's contents
-                    par = bin(q).count("1") & 1
-                    ph.local(pid, 1)
-                    ph.write(pid, out_base + j, par)
-                    new_vals[j] = par
+            pids = [checkers[k] for k in clean]
+            ph.local_each(pids, 1)
+            ph.write_each(
+                pids,
+                [out_base + (k >> b) for k in clean],
+                [bin(k & ((1 << b) - 1)).count("1") & 1 for k in clean],
+            )
 
         base, size = out_base, groups
         levels += 1
@@ -233,9 +232,12 @@ def parity_blocks(
     return meter.result(answer, block_size=b, levels=levels)
 
 
-def _reader_pid(j: int, q: int, i: int, handles) -> int:
-    """Processor id that performed read (j, q, i) — recover it from the handle."""
-    return handles[(j, q, i)].proc
+def _block_tiles(width: int) -> Tuple[List[int], List[int], List[int]]:
+    """The readers of one ``width``-bit block, in (pattern q, position i)
+    order, as columns: position ``i``, pattern ``q``, and bit ``i`` of ``q``."""
+    positions = [i for _ in range(1 << width) for i in range(width)]
+    pattern_of = [q for q in range(1 << width) for _ in range(width)]
+    return positions, pattern_of, [(q >> i) & 1 for q, i in zip(pattern_of, positions)]
 
 
 def parity_bsp(machine: BSP, bits: Sequence[int]) -> RunResult:

@@ -21,6 +21,8 @@ All return the inclusive prefix array under ``+`` (any values addable by
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import add
 from typing import Any, List, Optional, Sequence, Union
 
 from repro.algorithms.common import Allocator, CostMeter, RunResult, bsp_fanin, fresh_allocator
@@ -76,25 +78,18 @@ def prefix_sums(
         m = level_size[-1]
         groups = -(-m // k)
         base_next = alloc.alloc(groups)
-        sums: List[Any] = []
-        handles = []
+        # Leader j reads its (up to) k children, then writes their sum.
+        leaders = range(proc_counter, proc_counter + groups)
         with machine.phase() as ph:
-            for j in range(groups):
-                proc = proc_counter + j
-                hs = ph.read_block(
-                    proc,
-                    range(level_base[-1] + j * k, level_base[-1] + min((j + 1) * k, m)),
-                )
-                handles.append((proc, hs))
+            children = ph.read_each(
+                [proc_counter + i // k for i in range(m)],
+                range(level_base[-1], level_base[-1] + m),
+            )
+        got = _unwrap_all(machine, children.values)
+        sums: List[Any] = [reduce(add, got[j:j + k]) for j in range(0, m, k)]
         with machine.phase() as ph:
-            for j, (proc, hs) in enumerate(handles):
-                got = [_unwrap(machine, v) for v in hs.values]
-                total = got[0]
-                for v in got[1:]:
-                    total = total + v
-                ph.local(proc, len(got))
-                ph.write(proc, base_next + j, total)
-                sums.append(total)
+            ph.local_each(leaders, [min(k, m - j) for j in range(0, m, k)])
+            ph.write_each(leaders, range(base_next, base_next + groups), sums)
         proc_counter += groups
         level_base.append(base_next)
         level_size.append(groups)
@@ -112,32 +107,40 @@ def prefix_sums(
         m = level_size[lvl - 1]
         groups = level_size[lvl]
         offset_base[lvl - 1] = alloc.alloc(m)
-        handles = []
+        # Leader j reads its group's offset, then writes the running
+        # offsets of its (up to) k children.
+        leaders = range(proc_counter, proc_counter + groups)
         with machine.phase() as ph:
-            for j in range(groups):
-                proc = proc_counter + j
-                handles.append((j, proc, ph.read(proc, offset_base[lvl] + j)))
+            offsets = ph.read_each(
+                leaders, range(offset_base[lvl], offset_base[lvl] + groups)
+            )
+        below = level_vals[lvl - 1]
+        running: List[Any] = []
+        for j, group_offset in enumerate(_unwrap_all(machine, offsets.values)):
+            for i in range(j * k, min((j + 1) * k, m)):
+                running.append(group_offset)
+                group_offset = group_offset + below[i]
         with machine.phase() as ph:
-            for j, proc, handle in handles:
-                group_offset = _unwrap(machine, handle.value)
-                running = group_offset
-                lo = j * k
-                hi = min((j + 1) * k, m)
-                ph.local(proc, hi - lo)
-                items = []
-                for i in range(lo, hi):
-                    items.append((offset_base[lvl - 1] + i, running))
-                    running = running + level_vals[lvl - 1][i]
-                ph.write_block(proc, items)
+            ph.local_each(leaders, [min(k, m - j) for j in range(0, m, k)])
+            ph.write_each(
+                [proc_counter + i // k for i in range(m)],
+                range(offset_base[lvl - 1], offset_base[lvl - 1] + m),
+                running,
+            )
         proc_counter += groups
 
     # The inclusive prefix at i is offset[0][i] + value[i]; read them out.
     with machine.phase() as ph:
-        handles = [ph.read(i, offset_base[0] + i) for i in range(n)]
-    prefix = [
-        _unwrap(machine, handles[i].value) + level_vals[0][i] for i in range(n)
-    ]
+        handle = ph.read_each(range(n), range(offset_base[0], offset_base[0] + n))
+    prefix = list(map(add, _unwrap_all(machine, handle.values), level_vals[0]))
     return meter.result(prefix, fan_in=k, levels=top)
+
+
+def _unwrap_all(machine: SharedMachine, values: List[Any]) -> List[Any]:
+    """:func:`_unwrap` over a list of read values."""
+    if isinstance(machine, GSM):
+        return [_unwrap(machine, v) for v in values]
+    return values
 
 
 def _zero_like(sample: Any) -> Any:

@@ -4,6 +4,8 @@
 Table 1 sub-tables, the Section 8 upper-bound tracking table, the
 lower-bound machinery demonstrations and the ablations) and prints the
 combined report.  ``python -m repro t1a`` (etc.) runs a single experiment.
+The run exits 1 when a Table 1 cell's verdict is ``WRONG-ANSWER`` or
+``VIOLATION(...)``.
 
 ``--jobs N`` sets the worker-process count used by every
 :func:`repro.analysis.parallel_sweep.parallel_sweep` call in the run (it
@@ -64,28 +66,28 @@ __all__ = [
 ]
 
 
-def _t1a() -> None:
+def _t1a() -> Dict[Tuple[str, str], str]:
     from benchmarks.bench_table1_qsm_time import main
 
-    main()
+    return main()
 
 
-def _t1b() -> None:
+def _t1b() -> Dict[Tuple[str, str], str]:
     from benchmarks.bench_table1_sqsm_time import main
 
-    main()
+    return main()
 
 
-def _t1c() -> None:
+def _t1c() -> Dict[Tuple[str, str], str]:
     from benchmarks.bench_table1_bsp_time import main
 
-    main()
+    return main()
 
 
-def _t1d() -> None:
+def _t1d() -> Dict[Tuple[str, str], str]:
     from benchmarks.bench_table1_rounds import main
 
-    main()
+    return main()
 
 
 def _s8() -> None:
@@ -130,7 +132,9 @@ def _xmodel() -> None:
     main()
 
 
-EXPERIMENTS: Dict[str, Callable[[], None]] = {
+#: Experiment name -> runner.  The Table 1 runners return their cell
+#: verdicts, and ``main`` exits 1 when one says WRONG-ANSWER or VIOLATION.
+EXPERIMENTS: Dict[str, Callable[[], Optional[Dict[Tuple[str, str], str]]]] = {
     "t1a": _t1a,
     "t1b": _t1b,
     "t1c": _t1c,
@@ -1378,12 +1382,19 @@ def main(argv=None) -> int:
     if unknown:
         print(f"unknown experiment(s): {unknown}; know {list(EXPERIMENTS)}", file=sys.stderr)
         return 2
+    status = 0
     for i, name in enumerate(chosen):
         if i:
             print("\n" + "=" * 78 + "\n")
         print(f"### experiment {name}\n")
-        EXPERIMENTS[name]()
-    return 0
+        verdicts = EXPERIMENTS[name]()
+        if verdicts:
+            from benchmarks.common import failing_verdicts
+
+            for failure in failing_verdicts(verdicts):
+                print(f"experiment {name} failed: {failure}", file=sys.stderr)
+                status = 1
+    return status
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -24,7 +24,7 @@ from time import perf_counter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.cost import bsp_cost_terms, bsp_superstep_cost
-from repro.core.machine import PhaseClosedError
+from repro.core.machine import PhaseClosedError, _all_ids
 from repro.core.params import BSPParams
 from repro.core.phase import SuperstepRecord
 from repro.obs import metrics as _metrics
@@ -80,22 +80,12 @@ class Superstep:
             dsts, payloads = zip(*pairs, strict=True)
         except (TypeError, ValueError):
             dsts = payloads = ()
-        if len(dsts) != len(pairs):
-            # Malformed rows (wrong arity); the scalar path reports them.
+        if len(dsts) != len(pairs) or not _all_ids(dsts, machine.p):
+            # Malformed rows or a bad destination: the scalar loop raises
+            # its own error at its first bad pair.
             for dst, payload in pairs:
                 self.send(src, dst, payload)
             return
-        # Aggregate validation at C speed, with cold re-scans for precise
-        # per-item errors (bool is an int subtype, hence the exact-type set).
-        if not set(map(type, dsts)) <= {int}:
-            for dst in dsts:
-                if not isinstance(dst, int) or isinstance(dst, bool):
-                    raise TypeError(f"component id must be an int, got {dst!r}")
-        p = machine.p
-        if min(dsts) < 0 or max(dsts) >= p:
-            for dst in dsts:
-                if dst < 0 or dst >= p:
-                    raise ValueError(f"component id {dst} out of range for p={p}")
         self._outgoing.extend(zip(repeat(src), dsts, payloads))
         self._sent[src] = self._sent.get(src, 0) + len(pairs)
 

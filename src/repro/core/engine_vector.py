@@ -5,13 +5,16 @@ in pure Python; this engine executes a whole phase as array operations:
 
 * block reads and writes are issued as *spans* (a step-1 ``range`` or an
   ``int64`` address array) and applied to memory as slice assignments /
-  fancy-index gathers against :class:`DenseMemory`;
+  fancy-index gathers against :class:`DenseMemory`; the columnar
+  ``read_each`` / ``write_each`` carry an ``int64`` processor column
+  beside their address span;
 * per-cell contention comes from interval disjointness when every span is
   a range (O(#blocks log #blocks) — no per-cell work at all), falling back
   to ``np.unique`` over distinct ``(cell, proc)`` pairs plus a bincount
   when spans overlap;
 * per-processor ``m_rw`` / ``m_op`` counts are maintained at issue with
-  one dict update per *block*, not per cell;
+  one dict update per *block*, not per cell (per distinct processor for
+  a columnar op, from one ``np.unique`` pass);
 * queue mappings are materialized lazily: a :class:`CountQueue` compares
   equal to the plain dict the reference engine builds, but costs O(1) to
   aggregate (``max_value`` / ``value_counts``) on collision-free phases.
@@ -46,14 +49,19 @@ try:  # numpy is an optional dependency of the core package
 except ImportError:  # pragma: no cover - exercised only on minimal installs
     np = None  # type: ignore[assignment]
 
+from itertools import repeat
+
 from repro.core.bsp import Superstep
 from repro.core.machine import (
     MemoryConflictError,
     Phase,
     PhaseClosedError,
+    ReadEachHandle,
     ReadHandle,
     SharedMemoryMachine,
-    _is_read_handle,
+    _check_columns,
+    _merge_tally,
+    _unwrap_values,
 )
 
 __all__ = [
@@ -64,6 +72,7 @@ __all__ = [
     "CountQueue",
     "DenseMemory",
     "VectorBlockReadHandle",
+    "VectorReadEachHandle",
     "VectorPhase",
     "VectorSuperstep",
 ]
@@ -384,11 +393,26 @@ class DenseMemory(MutableMapping):
                 seg = tags[lo:hi]
                 if (seg == 1).all():
                     return self._ints[lo:hi].copy()
+                return self._gather_lanes(np.arange(lo, hi), seg)
             return [self.get(a) for a in span]
         if len(span) and int(span.max()) < len(tags) and int(span.min()) >= 0:
-            if (tags[span] == 1).all():
+            seg = tags[span]
+            if (seg == 1).all():
                 return self._ints[span]
+            return self._gather_lanes(span, seg)
         return [self.get(a) for a in span.tolist()]
+
+    def _gather_lanes(self, span: Any, seg: Any) -> List[Any]:
+        """:meth:`gather` of dense cells on mixed lanes: the int lane in one
+        cast, ``None`` for unset cells, object-lane cells one by one."""
+        out = np.full(len(span), None, dtype=object)
+        ints = seg == 1
+        out[ints] = self._ints[span[ints]]  # int64 -> Python int
+        values = out.tolist()
+        objs = self._objs
+        for i in np.flatnonzero(seg == 2).tolist():
+            values[i] = objs[int(span[i])]
+        return values
 
     def scatter(self, span: Any, values: Any) -> None:
         """Store ``values[i]`` into the ``i``-th cell of ``span``.
@@ -436,6 +460,19 @@ class DenseMemory(MutableMapping):
             items = zip(span.tolist(), self._as_value_list(values))
         for addr, value in items:
             self[addr] = value
+
+    def update(self, other: Any = ()) -> None:
+        """``dict.update`` whose dense int-lane cells land as one
+        :meth:`scatter` instead of one ``__setitem__`` each."""
+        cells = other if type(other) is dict else dict(other)
+        if not cells:
+            return
+        span = _id_span(list(cells), self._limit, ranges=False)
+        if span is None:
+            for addr, value in cells.items():
+                self[addr] = value
+        else:
+            self.scatter(span, list(cells.values()))
 
     @staticmethod
     def _int_lane(values: Any) -> Optional[Any]:
@@ -531,6 +568,22 @@ class VectorBlockReadHandle:
         return f"VectorBlockReadHandle(proc={self.proc}, n={len(self)}, values={state})"
 
 
+class VectorReadEachHandle(VectorBlockReadHandle):
+    """Columnar read handle (:meth:`VectorPhase.read_each`): processor
+    ``procs[i]`` read cell ``addrs[i]``.  Protocol-compatible with
+    :class:`~repro.core.machine.ReadEachHandle`, plus ``.array``."""
+
+    __slots__ = ("_procs",)
+
+    def __init__(self, procs: Any, span: Any) -> None:
+        super().__init__(None, span)
+        self._procs = procs
+
+    @property
+    def procs(self) -> Tuple[int, ...]:
+        return tuple(self._procs.tolist())
+
+
 # -- the vector phase ---------------------------------------------------------
 
 def _disjoint(intervals: List[Tuple[int, int]]) -> bool:
@@ -549,23 +602,98 @@ def _covers(intervals: List[Tuple[int, int]], addr: int) -> bool:
     return i >= 0 and intervals[i][0] <= addr < intervals[i][1]
 
 
+def _id_span(ids: Any, limit: Optional[int], ranges: bool = True) -> Any:
+    """Validate a non-empty id column (addresses, processors, components).
+
+    Returns a step-1 ``range`` (when ``ranges`` and given one) or an
+    ``int64`` array — or ``None`` when some entry is not an ``int`` in
+    ``[0, limit)`` or exceeds int64.  The caller then replays the
+    scalar loop, which raises the loop's own error at its first bad
+    pair, or (for ints beyond int64) completes through the scalar ops.
+    """
+    if type(ids) is range:
+        lo, hi = min(ids[0], ids[-1]), max(ids[0], ids[-1])
+        if lo < 0 or (limit is not None and hi >= limit):
+            return None
+        if ranges and ids.step == 1:
+            return ids
+        return np.arange(ids.start, ids.stop, ids.step, dtype=np.int64)
+    if isinstance(ids, np.ndarray):
+        if ids.dtype.kind not in "iu":
+            return None
+        span = ids.astype(np.int64, copy=False)
+    else:
+        if not set(map(type, ids)) <= {int}:
+            return None
+        try:
+            span = np.fromiter(ids, dtype=np.int64, count=len(ids))
+        except OverflowError:
+            return None
+    if int(span.min()) < 0 or (limit is not None and int(span.max()) >= limit):
+        return None
+    return span
+
+
+def _seq(ids: Any) -> Any:
+    """A column as something ``len()`` and numpy accept without copying."""
+    if type(ids) in (range, tuple, list) or isinstance(ids, np.ndarray):
+        return ids
+    return tuple(ids)
+
+
+def _pylist(col: Any) -> Any:
+    """A column as the scalar loop sees it (numpy arrays as Python scalars)."""
+    return col.tolist() if isinstance(col, np.ndarray) else col
+
+
+def _write_values(values: Any) -> Any:
+    """A write's value column, copied so the caller may reuse its list,
+    with resolved handles unwrapped — or ``None`` when one is still sealed
+    (see :func:`~repro.core.machine._unwrap_values`)."""
+    if isinstance(values, np.ndarray):
+        return values
+    return _unwrap_values(list(values))
+
+
+def _increasing(col: Any) -> bool:
+    """Whether an int64 column is strictly increasing (so its entries are
+    distinct and already sorted)."""
+    return len(col) < 2 or bool((col[1:] > col[:-1]).all())
+
+
+def _tally(pcol: Any) -> Dict[int, int]:
+    """``Counter(pcol.tolist())`` from one pass: ``{proc: count}`` in
+    first-appearance order.  A non-decreasing column (processors numbered
+    in issue order, the PRAM-step shape) is run-length counted without a
+    sort; any other goes through ``np.unique``."""
+    if len(pcol) < 2 or bool((pcol[1:] >= pcol[:-1]).all()):
+        starts = np.flatnonzero(np.diff(pcol, prepend=-1))
+        counts = np.diff(starts, append=len(pcol))
+        return dict(zip(pcol[starts].tolist(), counts.tolist()))
+    procs, first, counts = np.unique(pcol, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    return dict(zip(procs[order].tolist(), counts[order].tolist()))
+
+
 class VectorPhase(Phase):
     """A phase whose block operations stay as arrays until commit.
 
     Subclasses :class:`~repro.core.machine.Phase` so scalar bookkeeping,
     the commit protocol and the materialized fallback are shared; block
-    reads land in ``_rblocks`` as spans and *all* writes land in ``_wops``
-    in issue order (``('b', proc, span, values)`` for blocks,
-    ``('s', proc, addr, value)`` for scalars), with the parent's
-    ``_writes`` dict left empty until :meth:`_materialize_writes` replays
-    the log — which preserves the reference engine's first-write dict
-    order, and with it the winner-policy RNG draw sequence.
+    and columnar reads land in ``_rblocks`` as spans and *all* writes land
+    in ``_wops`` in issue order (``('b', proc, span, values)`` for blocks,
+    ``('e', procs, span, values)`` for columnar writes with ``procs`` an
+    int64 column, ``('s', proc, addr, value)`` for scalars), with the
+    parent's ``_writes`` dict left empty until :meth:`_materialize_writes`
+    replays the log — which preserves the reference engine's first-write
+    dict order, and with it the winner-policy RNG draw sequence.
     """
 
     def __init__(self, machine: "SharedMemoryMachine") -> None:
         super().__init__(machine)
-        # (proc, span) per block read, issue order.
-        self._rblocks: List[Tuple[int, Any]] = []
+        # (proc, span) per block read, (procs column, span) per columnar
+        # read, issue order.
+        self._rblocks: List[Tuple[Any, Any]] = []
         # The unified write log (see class docstring), issue order.
         self._wops: List[Tuple[Any, ...]] = []
         # Interval hull of the vector block reads (scalar reads use the
@@ -580,54 +708,6 @@ class VectorPhase(Phase):
         self._materialized = False
 
     # -- span normalization ----------------------------------------------
-
-    def _addr_span(self, addrs: Any) -> Any:
-        """Validate an address sequence; return a step-1 range, an int64
-        array, or ``None`` when the addresses exceed int64 (the caller
-        then falls back to per-item scalar ops, which handle big ints)."""
-        machine = self._machine
-        mem_size = machine.memory_size
-        if type(addrs) is range:
-            if addrs.step != 1:
-                span = np.arange(addrs.start, addrs.stop, addrs.step, dtype=np.int64)
-                lo = int(span.min())
-                hi = int(span.max())
-            else:
-                span = addrs
-                lo = addrs.start
-                hi = addrs.stop - 1
-            if lo < 0:
-                raise ValueError(f"address must be non-negative, got {lo}")
-            if mem_size is not None and hi >= mem_size:
-                raise ValueError(
-                    f"address {hi} out of range for memory of size {mem_size}"
-                )
-            return span
-        if isinstance(addrs, np.ndarray):
-            if addrs.dtype.kind not in "iu" or addrs.dtype == np.bool_:
-                raise TypeError(
-                    f"address array must have an integer dtype, got {addrs.dtype}"
-                )
-            span = addrs.astype(np.int64, copy=False)
-        else:
-            seq = addrs if type(addrs) in (tuple, list) else tuple(addrs)
-            if not set(map(type, seq)) <= {int}:
-                for a in seq:
-                    if type(a) is not int:
-                        raise TypeError(f"address must be an int, got {a!r}")
-            try:
-                span = np.fromiter(seq, dtype=np.int64, count=len(seq))
-            except OverflowError:
-                return None
-        lo = int(span.min())
-        hi = int(span.max())
-        if lo < 0:
-            raise ValueError(f"address must be non-negative, got {lo}")
-        if mem_size is not None and hi >= mem_size:
-            raise ValueError(
-                f"address {hi} out of range for memory of size {mem_size}"
-            )
-        return span
 
     @staticmethod
     def _span_bounds(span: Any) -> Tuple[int, int]:
@@ -651,11 +731,11 @@ class VectorPhase(Phase):
             s = self._wset = set(self._writes)
         ops = self._wops
         for op in ops[self._wset_upto:]:
-            if op[0] == "b":
+            if op[0] == "s":
+                s.add(op[2])
+            else:
                 span = op[2]
                 s.update(span if type(span) is range else span.tolist())
-            else:
-                s.add(op[2])
         self._wset_upto = len(ops)
         return s
 
@@ -668,6 +748,25 @@ class VectorPhase(Phase):
             s.update(span if type(span) is range else span.tolist())
         self._rset_upto = len(blocks)
         return s
+
+    def _written_conflict(self, span: Any) -> bool:
+        """Whether a read of ``span`` would touch a cell written this phase."""
+        lo, hi = self._span_bounds(span)
+        if (self._wops or self._writes) and not (
+            self._write_hi < lo or self._write_lo > hi
+        ):
+            return not self._written_set().isdisjoint(self._span_iter(span))
+        return False
+
+    def _read_conflict(self, span: Any) -> bool:
+        """Whether a write of ``span`` would touch a cell read this phase."""
+        readers = self._readers
+        if readers and not readers.keys().isdisjoint(self._span_iter(span)):
+            return True
+        lo, hi = self._span_bounds(span)
+        if self._rblocks and not (hi < self._vr_lo or lo > self._vr_hi):
+            return not self._read_set().isdisjoint(self._span_iter(span))
+        return False
 
     # -- operations --------------------------------------------------------
 
@@ -689,38 +788,43 @@ class VectorPhase(Phase):
     def read_block(self, proc: int, addrs: Sequence[int]) -> Any:
         self._check_open()
         self._machine._check_proc(proc)
-        if type(addrs) not in (range, tuple, list) and not isinstance(
-            addrs, np.ndarray
-        ):
-            addrs = tuple(addrs)
+        addrs = _seq(addrs)
         if not len(addrs):
             handle = VectorBlockReadHandle(proc, range(0))
             handle._resolve([])
             return handle
-        span = self._addr_span(addrs)
-        if span is None:
-            # Addresses beyond int64: fall back to scalar reads (which
-            # handle arbitrary Python ints); the wrapper keeps the block
-            # handle protocol for the caller.
-            handles = [self.read(proc, a) for a in addrs]
-            return _ScalarFallbackBlockHandle(proc, tuple(addrs), handles)
-        lo, hi = self._span_bounds(span)
-        if (self._wops or self._writes) and not (
-            self._write_hi < lo or self._write_lo > hi
-        ):
-            wset = self._written_set()
-            if not wset.isdisjoint(self._span_iter(span)):
-                for a in self._span_iter(span):
-                    if a in wset:
-                        raise MemoryConflictError(
-                            f"cell {a} is being written this phase; concurrent "
-                            f"read and write to one location in a phase is "
-                            f"forbidden"
-                        )
+        span = _id_span(addrs, self._machine.memory_size)
+        if span is None or self._written_conflict(span):
+            return self._replay_reads(repeat(proc), _pylist(addrs), proc)
         handle = VectorBlockReadHandle(proc, span)
-        self._rblocks.append((proc, span))
-        self._reads.append(handle)
+        self._add_read(proc, span, handle)
         self._reads_per_proc[proc] = self._reads_per_proc.get(proc, 0) + len(span)
+        return handle
+
+    def read_each(self, procs: Sequence[int], addrs: Sequence[int]) -> Any:
+        self._check_open()
+        procs = _seq(procs)
+        addrs = _seq(addrs)
+        _check_columns("read_each", procs, addrs)
+        if not len(addrs):
+            handle = ReadEachHandle((), ())
+            handle._resolve([])
+            return handle
+        machine = self._machine
+        pcol = _id_span(procs, machine.num_processors, ranges=False)
+        span = _id_span(addrs, machine.memory_size, ranges=False)
+        if pcol is None or span is None or self._written_conflict(span):
+            return self._replay_reads(_pylist(procs), _pylist(addrs))
+        handle = VectorReadEachHandle(pcol, span)
+        self._add_read(pcol, span, handle)
+        _merge_tally(self._reads_per_proc, _tally(pcol))
+        return handle
+
+    def _add_read(self, procs: Any, span: Any, handle: Any) -> None:
+        """Log one validated bulk read (``procs``: an id, or a column)."""
+        self._rblocks.append((procs, span))
+        self._reads.append(handle)
+        lo, hi = self._span_bounds(span)
         if lo < self._vr_lo:
             self._vr_lo = lo
         if hi > self._vr_hi:
@@ -728,7 +832,6 @@ class VectorPhase(Phase):
         if self._rset is not None:
             self._rset.update(self._span_iter(span))
             self._rset_upto = len(self._rblocks)
-        return handle
 
     def write(self, proc: int, addr: int, value: Any) -> None:
         self._check_open()
@@ -750,17 +853,7 @@ class VectorPhase(Phase):
                 f"cell {addr} is being read this phase; concurrent read and "
                 f"write to one location in a phase is forbidden"
             )
-        if self._materialized:
-            self._insert_writes(proc, (addr,), (value,))
-        else:
-            self._wops.append(("s", proc, addr, value))
-            if self._wset is not None:
-                self._wset.add(addr)
-                self._wset_upto = len(self._wops)
-        if addr > self._write_hi:
-            self._write_hi = addr
-        if addr < self._write_lo:
-            self._write_lo = addr
+        self._add_write("s", proc, addr, value, addr, addr)
         self._writes_per_proc[proc] = self._writes_per_proc.get(proc, 0) + 1
 
     def write_block(self, proc: int, items: Sequence[Tuple[int, Any]]) -> None:
@@ -793,64 +886,61 @@ class VectorPhase(Phase):
         self._write_cols(proc, addrs, values)
 
     def _write_cols(self, proc: int, addrs: Any, values: Any) -> None:
-        span = self._addr_span(addrs)
-        if span is None:
-            for a, v in zip(addrs, values):
-                self.write(proc, a, v)
+        span = _id_span(_seq(addrs), self._machine.memory_size)
+        vals = _write_values(values)
+        if span is None or vals is None or self._read_conflict(span):
+            self._replay_writes(repeat(proc), _pylist(addrs), _pylist(values))
             return
         lo, hi = self._span_bounds(span)
-        readers = self._readers
-        if readers and not readers.keys().isdisjoint(self._span_iter(span)):
-            for a in self._span_iter(span):
-                if a in readers:
-                    raise MemoryConflictError(
-                        f"cell {a} is being read this phase; concurrent read "
-                        f"and write to one location in a phase is forbidden"
-                    )
-        if self._rblocks and not (hi < self._vr_lo or lo > self._vr_hi):
-            rset = self._read_set()
-            if not rset.isdisjoint(self._span_iter(span)):
-                for a in self._span_iter(span):
-                    if a in rset:
-                        raise MemoryConflictError(
-                            f"cell {a} is being read this phase; concurrent "
-                            f"read and write to one location in a phase is "
-                            f"forbidden"
-                        )
-        if not isinstance(values, np.ndarray):
-            vals = values if type(values) is list else list(values)
-            if any(map(_is_read_handle, vals)):
-                unwrapped: List[Any] = []
-                for value in vals:
-                    if isinstance(value, ReadHandle):
-                        if not value.resolved:
-                            raise PhaseClosedError(
-                                "attempted to write a value read in the same "
-                                "phase; reads only deliver in a subsequent phase"
-                            )
-                        value = value.value
-                    unwrapped.append(value)
-                vals = unwrapped
-        else:
-            vals = values
+        self._add_write("b", proc, span, vals, lo, hi)
+        self._writes_per_proc[proc] = (
+            self._writes_per_proc.get(proc, 0) + len(span)
+        )
+
+    def write_each(
+        self, procs: Sequence[int], addrs: Sequence[int], values: Sequence[Any]
+    ) -> None:
+        self._check_open()
+        procs = _seq(procs)
+        addrs = _seq(addrs)
+        values = _seq(values)
+        _check_columns("write_each", procs, addrs, values)
+        if not len(addrs):
+            return
+        machine = self._machine
+        pcol = _id_span(procs, machine.num_processors, ranges=False)
+        span = _id_span(addrs, machine.memory_size, ranges=False)
+        vals = _write_values(values)
+        if (
+            pcol is None
+            or span is None
+            or vals is None
+            or self._read_conflict(span)
+        ):
+            self._replay_writes(_pylist(procs), _pylist(addrs), _pylist(values))
+            return
+        lo, hi = self._span_bounds(span)
+        self._add_write("e", pcol, span, vals, lo, hi)
+        _merge_tally(self._writes_per_proc, _tally(pcol))
+
+    def _add_write(self, kind: str, procs: Any, span: Any, vals: Any, lo: int, hi: int) -> None:
+        """Log one validated write op: ``'s'`` scalar (``span`` one
+        address), ``'b'`` block (one processor) or ``'e'`` columnar
+        (``procs`` a column) — or insert it directly once materialized."""
         if self._materialized:
-            self._insert_writes(
-                proc,
-                list(self._span_iter(span)),
-                vals.tolist() if isinstance(vals, np.ndarray) else vals,
-            )
+            self._insert_op(kind, procs, span, vals)
         else:
-            self._wops.append(("b", proc, span, vals))
+            self._wops.append((kind, procs, span, vals))
             if self._wset is not None:
-                self._wset.update(self._span_iter(span))
+                if kind == "s":
+                    self._wset.add(span)
+                else:
+                    self._wset.update(self._span_iter(span))
                 self._wset_upto = len(self._wops)
         if hi > self._write_hi:
             self._write_hi = hi
         if lo < self._write_lo:
             self._write_lo = lo
-        self._writes_per_proc[proc] = (
-            self._writes_per_proc.get(proc, 0) + len(span)
-        )
 
     # -- commit machinery --------------------------------------------------
 
@@ -866,15 +956,18 @@ class VectorPhase(Phase):
         self._materialized = True
         ops, self._wops = self._wops, []
         for op in ops:
-            if op[0] == "s":
-                self._insert_writes(op[1], (op[2],), (op[3],))
-            else:
-                _, proc, span, vals = op
-                addr_list = (
-                    list(span) if type(span) is range else span.tolist()
-                )
-                val_list = vals.tolist() if isinstance(vals, np.ndarray) else vals
-                self._insert_writes(proc, addr_list, val_list)
+            self._insert_op(*op)
+
+    def _insert_op(self, kind: str, procs: Any, span: Any, vals: Any) -> None:
+        """Insert one logged write op into the reference write dict."""
+        if kind == "s":
+            self._insert_writes((procs,), (span,), (vals,))
+        else:
+            self._insert_writes(
+                repeat(procs) if kind == "b" else procs.tolist(),
+                self._span_iter(span),
+                vals.tolist() if isinstance(vals, np.ndarray) else vals,
+            )
 
     def _vector_write_queue(self) -> Optional[CountQueue]:
         """Write queue for a collision-free write log, else ``None`` after
@@ -882,14 +975,13 @@ class VectorPhase(Phase):
         intervals: List[Tuple[int, int]] = []
         arrays: List[Any] = []
         for op in self._wops:
-            if op[0] == "b":
-                span = op[2]
-                if type(span) is range:
-                    intervals.append((span.start, span.stop))
-                else:
-                    arrays.append(span)
+            span = op[2]
+            if op[0] == "s":
+                intervals.append((span, span + 1))
+            elif type(span) is range:
+                intervals.append((span.start, span.stop))
             else:
-                intervals.append((op[2], op[2] + 1))
+                arrays.append(span)
         if not arrays:
             intervals.sort()
             if _disjoint(intervals):
@@ -900,6 +992,8 @@ class VectorPhase(Phase):
             return None
         parts = [np.arange(a, b, dtype=np.int64) for a, b in intervals] + arrays
         allw = np.concatenate(parts) if len(parts) > 1 else parts[0]
+        if _increasing(allw):  # e.g. one columnar write over a range
+            return CountQueue(keys=allw)
         uniq = np.unique(allw)
         if len(uniq) == len(allw):
             return CountQueue(keys=uniq)
@@ -934,12 +1028,18 @@ class VectorPhase(Phase):
                 span
             ) is range else span
             addr_parts.append(arr)
-            proc_parts.append(np.full(len(arr), proc, dtype=np.int64))
+            proc_parts.append(
+                proc if isinstance(proc, np.ndarray)  # a read_each column
+                else np.full(len(arr), proc, dtype=np.int64)
+            )
         for a, procs in readers.items():
             k = len(procs)
             addr_parts.append(np.full(k, a, dtype=np.int64))
             proc_parts.append(np.fromiter(procs, dtype=np.int64, count=k))
         addrs = np.concatenate(addr_parts) if len(addr_parts) > 1 else addr_parts[0]
+        if _increasing(addrs):
+            # Every cell read once (e.g. one columnar read over a range).
+            return CountQueue(keys=addrs)
         procs_arr = (
             np.concatenate(proc_parts) if len(proc_parts) > 1 else proc_parts[0]
         )
@@ -994,7 +1094,7 @@ class VectorPhase(Phase):
             t = type(handle)
             if t is ReadHandle:
                 handle._resolve(read_cell(handle.addr))
-            elif t is VectorBlockReadHandle:
+            elif t is VectorBlockReadHandle or t is VectorReadEachHandle:
                 if fast:
                     handle._resolve(memory.gather(handle._span))
                 else:
@@ -1013,19 +1113,19 @@ class VectorPhase(Phase):
         memory = machine._memory
         if type(memory) is DenseMemory:
             for op in self._wops:
-                if op[0] == "b":
-                    memory.scatter(op[2], op[3])
-                else:
+                if op[0] == "s":
                     memory[op[2]] = op[3]
+                else:
+                    memory.scatter(op[2], op[3])
         else:
             for op in self._wops:
-                if op[0] == "b":
+                if op[0] == "s":
+                    memory[op[2]] = op[3]
+                else:
                     vals = op[3]
                     vals = vals.tolist() if isinstance(vals, np.ndarray) else vals
                     for addr, value in zip(self._span_iter(op[2]), vals):
                         memory[addr] = value
-                else:
-                    memory[op[2]] = op[3]
 
 
 # -- the vector superstep -----------------------------------------------------
@@ -1089,26 +1189,13 @@ class VectorSuperstep(Superstep):
         self._send_cols_checked(src, dsts, payloads)
 
     def _send_cols_checked(self, src: int, dsts: Any, payloads: Any) -> None:
-        machine = self._machine
-        p = machine.p
-        if isinstance(dsts, np.ndarray):
-            if dsts.dtype.kind not in "iu" or dsts.dtype == np.bool_:
-                raise TypeError(
-                    f"destination array must have an integer dtype, got {dsts.dtype}"
-                )
-            darr = dsts.astype(np.int64, copy=False)
-        else:
-            # Aggregate validation with cold re-scans for precise per-item
-            # errors, mirroring the reference send_block.
-            if not set(map(type, dsts)) <= {int}:
-                for dst in dsts:
-                    if not isinstance(dst, int) or isinstance(dst, bool):
-                        raise TypeError(f"component id must be an int, got {dst!r}")
-            darr = np.fromiter(dsts, dtype=np.int64, count=len(dsts))
-        if int(darr.min()) < 0 or int(darr.max()) >= p:
-            for dst in darr.tolist():
-                if dst < 0 or dst >= p:
-                    raise ValueError(f"component id {dst} out of range for p={p}")
+        darr = _id_span(_seq(dsts), self._machine.p, ranges=False)
+        if darr is None:
+            # A bad destination: the scalar loop raises its own error at
+            # its first bad pair.
+            for dst, payload in zip(_pylist(dsts), _pylist(payloads)):
+                self.send(src, dst, payload)
+            return
         self._vops.append(("b", src, darr, payloads))
         self._sent[src] = self._sent.get(src, 0) + len(darr)
 
@@ -1170,25 +1257,3 @@ class VectorSuperstep(Superstep):
             start += c
         received = {dst: c for dst, c in enumerate(counts.tolist()) if c}
         return received, new_inboxes
-
-
-class _ScalarFallbackBlockHandle:
-    """Block handle for the big-int fallback: wraps scalar ReadHandles."""
-
-    __slots__ = ("proc", "addrs", "_handles")
-
-    def __init__(self, proc: int, addrs: Tuple[int, ...], handles: List[ReadHandle]):
-        self.proc = proc
-        self.addrs = addrs
-        self._handles = handles
-
-    @property
-    def resolved(self) -> bool:
-        return all(h.resolved for h in self._handles)
-
-    @property
-    def values(self) -> List[Any]:
-        return [h.value for h in self._handles]
-
-    def __len__(self) -> int:
-        return len(self.addrs)

@@ -16,11 +16,21 @@ every processor, issuing reads, writes and local-op charges through a
   feed the contention term ``kappa`` of the cost formulas.  A processor
   issuing two reads of one cell contributes 1 to that cell's queue (but
   still 2 to its own ``m_rw`` request count).
-* **Bulk operations** — :meth:`Phase.read_block` and
-  :meth:`Phase.write_block` are semantically identical to loops of
-  :meth:`Phase.read` / :meth:`Phase.write` but update the counters with
-  aggregate operations, so the per-operation Python overhead is paid once
-  per block instead of once per cell (see ``benchmarks/bench_phase_engine``).
+* **Bulk operations** — every bulk op is semantically identical to the
+  scalar loop it replaces but updates the counters with aggregate
+  operations, so the per-operation Python overhead is paid once per call
+  instead of once per cell (see ``benchmarks/bench_phase_engine``).  Two
+  shapes are served:
+
+  - *one processor, many cells* — :meth:`Phase.read_block`,
+    :meth:`Phase.write_block` and :meth:`Phase.write_cols`;
+  - *many processors, one cell each* (the shape of a PRAM step) — the
+    columnar :meth:`Phase.read_each`, :meth:`Phase.write_each` and
+    :meth:`Phase.local_each`.
+
+  The loop is the specification, errors included: when any aggregate
+  check fails, the call is replayed through the scalar loop on a cold
+  path, so the same exception is raised at the same pair.
 * **Write resolution** — model-specific: the QSM/s-QSM pick one arbitrary
   winner per cell; the GSM's strong queuing merges all written values into
   the cell (see subclasses).
@@ -33,6 +43,7 @@ lower-bound engines.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import repeat
 from operator import itemgetter
 from time import perf_counter
@@ -47,6 +58,7 @@ __all__ = [
     "PhaseClosedError",
     "ReadHandle",
     "BlockReadHandle",
+    "ReadEachHandle",
     "Phase",
     "SharedMemoryMachine",
     "Collided",
@@ -176,14 +188,129 @@ class BlockReadHandle:
         return f"BlockReadHandle(proc={self.proc}, addrs={self.addrs!r}, values={state})"
 
 
+class ReadEachHandle(BlockReadHandle):
+    """Deferred result of a columnar shared-memory read (:meth:`Phase.read_each`).
+
+    Processor ``procs[i]`` read cell ``addrs[i]``; sealed while its phase
+    is open, after the commit ``.values`` lists the cell values in request
+    order.  ``.proc`` is ``None``: there is no single reading processor.
+    """
+
+    __slots__ = ("procs",)
+
+    def __init__(self, procs: Sequence[int], addrs: Sequence[int]) -> None:
+        super().__init__(None, addrs)
+        self.procs = procs
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        state = repr(self._values) if self._resolved else "<sealed>"
+        return f"ReadEachHandle(n={len(self)}, values={state})"
+
+
+class _ScalarReads:
+    """A bulk read's handle over the scalar :class:`ReadHandle` s that its
+    cold-path replay issued (see :meth:`Phase._replay_reads`).  Speaks the
+    block protocol (``.proc``) and the columnar one (``.procs``)."""
+
+    __slots__ = ("proc", "_handles")
+
+    def __init__(self, handles: List[ReadHandle], proc: Optional[int] = None) -> None:
+        self.proc = proc
+        self._handles = handles
+
+    @property
+    def procs(self) -> Tuple[int, ...]:
+        return tuple(h.proc for h in self._handles)
+
+    @property
+    def addrs(self) -> Tuple[int, ...]:
+        return tuple(h.addr for h in self._handles)
+
+    @property
+    def resolved(self) -> bool:
+        return all(h.resolved for h in self._handles)
+
+    @property
+    def values(self) -> List[Any]:
+        return [h.value for h in self._handles]
+
+    def __len__(self) -> int:
+        return len(self._handles)
+
+
+def _column(seq: Any) -> Sequence[Any]:
+    """One column of a columnar op as an immutable sequence: tuples and
+    ranges pass through, anything else is copied, so a caller reusing its
+    list cannot change what a pending handle reads."""
+    return seq if type(seq) is tuple or type(seq) is range else tuple(seq)
+
+
+def _check_columns(op: str, *cols: Sequence[Any]) -> None:
+    if len({len(c) for c in cols}) > 1:
+        raise ValueError(
+            f"{op} needs parallel columns of equal length, got lengths "
+            f"{[len(c) for c in cols]}"
+        )
+
+
+_INT_ONLY = {int}
+
+
+def _all_ids(ids: Sequence[Any], limit: Optional[int]) -> bool:
+    """Whether every entry of the non-empty column ``ids`` is an ``int`` in
+    ``[0, limit)`` (``limit=None``: unbounded) — the aggregate form of
+    ``_check_proc`` / ``_check_addr`` (exact type, so ``bool`` fails)."""
+    if type(ids) is range:  # ints by construction; bounds from the ends
+        lo, hi = min(ids[0], ids[-1]), max(ids[0], ids[-1])
+    elif set(map(type, ids)) <= _INT_ONLY:
+        lo, hi = min(ids), max(ids)
+    else:
+        return False
+    return lo >= 0 and (limit is None or hi < limit)
+
+
+def _tally(procs: Sequence[int]) -> Dict[int, int]:
+    """``Counter(procs)`` (first-appearance order); a range of processors,
+    one request each, needs no counting."""
+    return dict.fromkeys(procs, 1) if type(procs) is range else Counter(procs)
+
+
+def _merge_tally(counts: Dict[int, int], tally: Dict[int, int]) -> None:
+    """Add ``tally`` into ``counts``, inserting new keys in ``tally``'s
+    order — first appearance, exactly as the scalar loop inserts them."""
+    if counts.keys().isdisjoint(tally):
+        counts.update(tally)
+    else:
+        get = counts.get
+        for proc, n in tally.items():
+            counts[proc] = get(proc, 0) + n
+
+
+def _unwrap_values(values: Sequence[Any]) -> Optional[Sequence[Any]]:
+    """``values`` with resolved :class:`ReadHandle` s unwrapped, as the
+    scalar write unwraps them, or ``None`` when one is still sealed (the
+    scalar loop then raises at it)."""
+    if not any(map(_is_read_handle, values)):
+        return values
+    out: List[Any] = []
+    for value in values:
+        if isinstance(value, ReadHandle):
+            if not value.resolved:
+                return None
+            value = value.value
+        out.append(value)
+    return out
+
+
 # Value types that cannot be stored in the bare-entry form: exact tuples and
 # Collided would be indistinguishable from the bookkeeping forms, and handles
 # need the unwrap/seal check.  (Exact types only — a namedtuple value lands
 # bare and dispatches as bare, consistently.)
 _NON_PLAIN_TYPES = (tuple, Collided, ReadHandle, BlockReadHandle)
 
-# (proc, value) -> value, at C speed, for bulk commit of tuple entries.
+# (proc, value) -> value / proc, at C speed, for bulk commit of tuple entries.
 _value_of = itemgetter(1)
+_proc_of = itemgetter(0)
 
 
 class Phase:
@@ -268,27 +395,11 @@ class Phase:
         if not addr_tuple:
             handle._resolve([])
             return handle
-        # Aggregate validation: one type pass, then min/max bounds checks.
-        for a in addr_tuple:
-            if type(a) is not int:
-                raise TypeError(f"address must be an int, got {a!r}")
-        if min(addr_tuple) < 0:
-            raise ValueError(
-                f"address must be non-negative, got {min(addr_tuple)}"
-            )
-        mem_size = self._machine.memory_size
-        if mem_size is not None and max(addr_tuple) >= mem_size:
-            raise ValueError(
-                f"address {max(addr_tuple)} out of range for memory of size {mem_size}"
-            )
         writes = self._writes
-        if writes:
-            for a in addr_tuple:
-                if a in writes:
-                    raise MemoryConflictError(
-                        f"cell {a} is being written this phase; concurrent read "
-                        f"and write to one location in a phase is forbidden"
-                    )
+        if not _all_ids(addr_tuple, self._machine.memory_size) or (
+            writes and not writes.keys().isdisjoint(addr_tuple)
+        ):
+            return self._replay_reads(repeat(proc), addr_tuple, proc)
         readers = self._readers
         for a in addr_tuple:
             procs = readers.get(a)
@@ -301,6 +412,56 @@ class Phase:
         )
         self._reads.append(handle)
         return handle
+
+    def read_each(self, procs: Sequence[int], addrs: Sequence[int]) -> ReadEachHandle:
+        """Processor ``procs[i]`` requests the contents of cell ``addrs[i]``.
+
+        Columnar form of ``[ph.read(p, a) for p, a in zip(procs, addrs)]``
+        — the PRAM-step shape, many processors with one cell each — with
+        the per-pair bookkeeping done in aggregate.  Returns one sealed
+        :class:`ReadEachHandle` whose ``.values`` resolves to the cell
+        values in request order after the phase commits.  Processors and
+        addresses may repeat: each cell's contention counts its distinct
+        processors, each request counts toward its processor's ``m_rw``.
+        The columns must have equal length.
+        """
+        self._check_open()
+        procs = _column(procs)
+        addrs = _column(addrs)
+        _check_columns("read_each", procs, addrs)
+        handle = ReadEachHandle(procs, addrs)
+        if not addrs:
+            handle._resolve([])
+            return handle
+        machine = self._machine
+        writes = self._writes
+        if not (
+            _all_ids(procs, machine.num_processors)
+            and _all_ids(addrs, machine.memory_size)
+        ) or (writes and not writes.keys().isdisjoint(addrs)):
+            return self._replay_reads(procs, addrs)
+        readers = self._readers
+        get = readers.get
+        for a, p in zip(addrs, procs):
+            cell = get(a)
+            if cell is None:
+                readers[a] = {p}
+            else:
+                cell.add(p)
+        _merge_tally(self._reads_per_proc, _tally(procs))
+        self._reads.append(handle)
+        return handle
+
+    def _replay_reads(
+        self, procs: Any, addrs: Sequence[int], proc: Optional[int] = None
+    ) -> "_ScalarReads":
+        """Cold path of the bulk reads: the scalar loop they stand for.
+
+        It raises the loop's own exception at the loop's first bad pair
+        (after issuing the pairs before it, as the loop would); should
+        every pair pass, the scalar handles come back as one bulk handle.
+        """
+        return _ScalarReads([self.read(p, a) for p, a in zip(procs, addrs)], proc)
 
     def write(self, proc: int, addr: int, value: Any) -> None:
         """Processor ``proc`` writes ``value`` to cell ``addr``.
@@ -359,54 +520,31 @@ class Phase:
         pairs = items if type(items) is list else list(items)
         if not pairs:
             return
-        # Aggregate validation at C speed; every failure re-scans on a cold
-        # path for a precise per-item error.  strict=True makes mixed-arity
+        # Aggregate validation at C speed.  strict=True makes mixed-arity
         # rows raise instead of silently truncating to the shortest row.
         try:
             addrs, values = zip(*pairs, strict=True)
         except (TypeError, ValueError):
             addrs = values = ()
-        if len(addrs) != len(pairs):
-            # Malformed rows (wrong arity); the scalar path reports them.
-            for addr, value in pairs:
-                self.write(proc, addr, value)
-            return
-        if not set(map(type, addrs)) <= {int}:
-            for a in addrs:
-                if type(a) is not int:
-                    raise TypeError(f"address must be an int, got {a!r}")
-        lo = min(addrs)
-        hi = max(addrs)
-        if lo < 0:
-            raise ValueError(f"address must be non-negative, got {lo}")
-        mem_size = self._machine.memory_size
-        if mem_size is not None and hi >= mem_size:
-            raise ValueError(
-                f"address {hi} out of range for memory of size {mem_size}"
-            )
-        readers = self._readers
-        if readers and not readers.keys().isdisjoint(addrs):
-            for a in addrs:
-                if a in readers:
-                    raise MemoryConflictError(
-                        f"cell {a} is being read this phase; concurrent read "
-                        f"and write to one location in a phase is forbidden"
-                    )
         # Values whose exact type is tuple-like or a handle cannot use the
         # bare-value entry form (see WriteEntry); everything else can.
         plain = set(map(type, values)).isdisjoint(_NON_PLAIN_TYPES)
-        if not plain and any(map(_is_read_handle, values)):
-            unwrapped: List[Any] = []
-            for value in values:
-                if isinstance(value, ReadHandle):
-                    if not value.resolved:
-                        raise PhaseClosedError(
-                            "attempted to write a value read in the same "
-                            "phase; reads only deliver in a subsequent phase"
-                        )
-                    value = value.value
-                unwrapped.append(value)
-            values = unwrapped
+        if not plain:
+            values = _unwrap_values(values)
+        readers = self._readers
+        if (
+            len(addrs) != len(pairs)
+            or values is None
+            or not _all_ids(addrs, self._machine.memory_size)
+            or (readers and not readers.keys().isdisjoint(addrs))
+        ):
+            # Malformed rows, a sealed value, a bad address or a conflict:
+            # the scalar loop raises its own error at its first bad pair.
+            for addr, value in pairs:
+                self.write(proc, addr, value)
+            return
+        lo = min(addrs)
+        hi = max(addrs)
         writes = self._writes
         if plain and (
             not writes
@@ -426,12 +564,12 @@ class Phase:
             if len(writes) - before != len(addrs):
                 for a in addrs:
                     writes.pop(a, None)
-                self._insert_writes(proc, addrs, values)
+                self._insert_writes(repeat(proc), addrs, values)
             else:
                 self._has_plain = True
                 self._block_origins.append((proc, addrs))
         else:
-            self._insert_writes(proc, addrs, values)
+            self._insert_writes(repeat(proc), addrs, values)
         if hi > self._write_hi:
             self._write_hi = hi
         if lo < self._write_lo:
@@ -458,12 +596,73 @@ class Phase:
             )
         self.write_block(proc, list(zip(addrs, values)))
 
-    def _insert_writes(self, proc: int, addrs: Sequence[int], values: Sequence[Any]) -> None:
-        """Per-item write insertion (the path that handles colliding cells)."""
+    def write_each(
+        self, procs: Sequence[int], addrs: Sequence[int], values: Sequence[Any]
+    ) -> None:
+        """Processor ``procs[i]`` writes ``values[i]`` to cell ``addrs[i]``.
+
+        Columnar form of ``for p, a, v in zip(procs, addrs, values):
+        ph.write(p, a, v)``: the same pending-write entries in the same
+        insertion order (so collisions resolve through the same winner
+        draws), the same per-processor counts, the same first error at the
+        same pair — with the per-pair bookkeeping done in aggregate.
+        Values follow the scalar rule (sealed same-phase handles raise,
+        resolved ones are unwrapped).  The columns must have equal length.
+        """
+        self._check_open()
+        procs = _column(procs)
+        addrs = _column(addrs)
+        values = _column(values)
+        _check_columns("write_each", procs, addrs, values)
+        if not addrs:
+            return
+        machine = self._machine
+        readers = self._readers
+        vals = _unwrap_values(values)
+        if (
+            vals is None
+            or not _all_ids(procs, machine.num_processors)
+            or not _all_ids(addrs, machine.memory_size)
+            or (readers and not readers.keys().isdisjoint(addrs))
+        ):
+            self._replay_writes(procs, addrs, values)
+            return
+        lo = min(addrs)
+        hi = max(addrs)
+        writes = self._writes
+        if (
+            not writes
+            or lo > self._write_hi
+            or hi < self._write_lo
+            or writes.keys().isdisjoint(addrs)
+        ) and (type(addrs) is range or len(set(addrs)) == len(addrs)):
+            # Distinct cells, all new to the phase: one C-level pass of
+            # (proc, value) entries.
+            writes.update(zip(addrs, zip(procs, vals)))
+        else:
+            self._insert_writes(procs, addrs, vals)
+        self._has_pairs = True
+        if hi > self._write_hi:
+            self._write_hi = hi
+        if lo < self._write_lo:
+            self._write_lo = lo
+        _merge_tally(self._writes_per_proc, _tally(procs))
+
+    def _replay_writes(
+        self, procs: Any, addrs: Sequence[int], values: Sequence[Any]
+    ) -> None:
+        """Cold path of the bulk writes: the scalar loop they stand for,
+        raising its own error at its first bad pair."""
+        for p, a, v in zip(procs, addrs, values):
+            self.write(p, a, v)
+
+    def _insert_writes(self, procs: Any, addrs: Sequence[int], values: Sequence[Any]) -> None:
+        """Per-item write insertion (the path that handles colliding cells);
+        ``procs`` is a column, or ``repeat(proc)`` for a block."""
         writes = self._writes
         writes_get = writes.get
         collision = self._write_collision
-        for addr, value in zip(addrs, values):
+        for proc, addr, value in zip(procs, addrs, values):
             entry = writes_get(addr)
             if entry is None:
                 writes[addr] = (proc, value)
@@ -493,6 +692,31 @@ class Phase:
             raise ValueError(f"ops must be non-negative, got {ops}")
         self._ops_per_proc[proc] = self._ops_per_proc.get(proc, 0) + ops
 
+    def local_each(self, procs: Sequence[int], ops: Union[int, Sequence[int]]) -> None:
+        """Charge ``ops[i]`` units of local computation to ``procs[i]``.
+
+        Columnar form of ``for p, o in zip(procs, ops): ph.local(p, o)``;
+        a single int ``ops`` charges that many units to every processor.
+        """
+        self._check_open()
+        procs = _column(procs)
+        ops = [ops] * len(procs) if type(ops) is int else _column(ops)
+        _check_columns("local_each", procs, ops)
+        if not procs:
+            return
+        try:
+            valid = _all_ids(procs, self._machine.num_processors) and min(ops) >= 0
+        except TypeError:  # uncomparable charges; the loop names the pair
+            valid = False
+        if not valid:
+            for p, o in zip(procs, ops):
+                self.local(p, o)
+            return
+        counts = self._ops_per_proc
+        get = counts.get
+        for p, o in zip(procs, ops):
+            counts[p] = get(p, 0) + o
+
     # -- commit machinery --------------------------------------------------
 
     def _check_open(self) -> None:
@@ -515,11 +739,7 @@ class Phase:
         if not self._write_collision:
             return dict.fromkeys(writes, 1)
         return {
-            addr: (
-                len({p for p, _ in entry})
-                if type(entry) is Collided
-                else 1
-            )
+            addr: len(set(map(_proc_of, entry))) if type(entry) is Collided else 1
             for addr, entry in writes.items()
         }
 
@@ -538,11 +758,13 @@ class Phase:
     def _resolve_reads(self, machine: "SharedMemoryMachine") -> None:
         """Resolve every read handle against pre-phase memory (engine hook)."""
         read_cell = machine._read_cell
+        if type(machine)._read_cell is SharedMemoryMachine._read_cell:
+            read_cell = machine._memory.get  # the same lookup, minus a call
         for handle in self._reads:
             if type(handle) is ReadHandle:
                 handle._resolve(read_cell(handle.addr))
-            else:  # BlockReadHandle
-                handle._resolve([read_cell(a) for a in handle.addrs])
+            else:  # BlockReadHandle / ReadEachHandle
+                handle._resolve(list(map(read_cell, handle.addrs)))
 
     def _apply_writes(self, machine: "SharedMemoryMachine") -> None:
         """Apply this phase's writes to memory (engine hook)."""
@@ -748,6 +970,25 @@ class SharedMemoryMachine:
             for addr, entry in writes.items():
                 memory[addr] = entry[1] if type(entry) is tuple else entry
 
+    def _apply_arbitrary_writes(self, phase: Phase) -> None:
+        """Apply a phase's writes under the arbitrary-winner rule (QSM,
+        s-QSM, PEM): a collided cell keeps the value :meth:`_pick_winner`
+        chooses, drawn in the write dict's first-write (issue) order; the
+        memory takes all cells in one bulk update."""
+        if not phase._write_collision:
+            self._apply_single_writes(phase)
+            return
+        pick_winner = self._pick_winner
+        self._memory.update(
+            (
+                addr,
+                entry[pick_winner(addr, entry)][1] if type(entry) is Collided
+                else entry[1] if type(entry) is tuple
+                else entry,
+            )
+            for addr, entry in phase._writes.items()
+        )
+
     # -- public API ---------------------------------------------------------
 
     def phase(self) -> Phase:
@@ -779,11 +1020,19 @@ class SharedMemoryMachine:
         assumed to reside in shared memory (or be distributed, on the BSP)
         at time zero.
         """
-        scatter = getattr(self._memory, "scatter", None)
-        if scatter is not None and values and type(base) is int and base >= 0:
+        if (
+            values
+            and type(base) is int
+            and base >= 0
+            and type(self).poke is SharedMemoryMachine.poke  # GSM wraps values
+        ):
             span = range(base, base + len(values))
             if self.memory_size is None or span[-1] < self.memory_size:
-                scatter(span, list(values))
+                scatter = getattr(self._memory, "scatter", None)
+                if scatter is not None:
+                    scatter(span, list(values))
+                else:
+                    self._memory.update(zip(span, values))
                 if span[-1] > self._high_water:
                     self._high_water = span[-1]
                 return

@@ -139,9 +139,18 @@ class SuperstepRecord:
 
 
 def merge_counts(*mappings: Mapping[int, int]) -> Dict[int, int]:
-    """Sum integer-valued mappings key-wise (helper for record construction)."""
+    """Sum integer-valued mappings key-wise (helper for record construction).
+
+    Keys keep their first-appearance order.  A mapping whose keys are all
+    new — in particular the only non-empty one, the common phase that
+    issues one kind of op — is copied at C speed instead of key by key.
+    """
     out: Dict[int, int] = {}
     for mapping in mappings:
+        if out.keys().isdisjoint(mapping):
+            out.update(mapping)
+            continue
+        get = out.get
         for key, value in mapping.items():
-            out[key] = out.get(key, 0) + value
+            out[key] = get(key, 0) + value
     return out

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.machine import Collided, Phase, SharedMemoryMachine
-from repro.core.phase import PhaseRecord
+from repro.core.phase import PhaseRecord, queue_max
 
 __all__ = ["PRAMParams", "PRAM", "ConcurrencyViolation"]
 
@@ -113,19 +113,22 @@ class PRAM(SharedMemoryMachine):
                 )
 
     def _enforce_concurrency(self, record: PhaseRecord) -> None:
+        # The lowest-addressed violating cell is reported, so the message
+        # does not depend on the order a queue mapping iterates in (the
+        # vector engine's compact queues iterate in address order).
         variant = self.params.variant
-        if variant in ("EREW",):
-            for addr, queue in record.read_queue.items():
-                if queue > 1:
-                    raise ConcurrencyViolation(
-                        f"{queue} concurrent readers of cell {addr} on an EREW PRAM"
-                    )
-        if variant in ("EREW", "CREW"):
-            for addr, queue in record.write_queue.items():
-                if queue > 1:
-                    raise ConcurrencyViolation(
-                        f"{queue} concurrent writers of cell {addr} on a {variant} PRAM"
-                    )
+        if variant in ("EREW",) and queue_max(record.read_queue) > 1:
+            addr = min(a for a, q in record.read_queue.items() if q > 1)
+            raise ConcurrencyViolation(
+                f"{record.read_queue[addr]} concurrent readers of cell {addr} "
+                f"on an EREW PRAM"
+            )
+        if variant in ("EREW", "CREW") and queue_max(record.write_queue) > 1:
+            addr = min(a for a, q in record.write_queue.items() if q > 1)
+            raise ConcurrencyViolation(
+                f"{record.write_queue[addr]} concurrent writers of cell {addr} "
+                f"on a {variant} PRAM"
+            )
 
     def _resolve_writes(self, phase: Phase) -> None:
         if not phase._write_collision:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.cost import qsm_cost_terms, qsm_phase_cost
-from repro.core.machine import Collided, Phase, SharedMemoryMachine
+from repro.core.machine import Phase, SharedMemoryMachine
 from repro.core.params import QSMParams
 from repro.core.phase import PhaseRecord
 
@@ -61,23 +61,10 @@ class QSM(SharedMemoryMachine):
         return qsm_cost_terms(record, self.params)
 
     def _resolve_writes(self, phase: Phase) -> None:
-        if not phase._write_collision:
-            # Every cell has exactly one writer — no arbitration needed, so
-            # the whole phase lands through the bulk paths.
-            self._apply_single_writes(phase)
-            return
-        memory = self._memory
-        pick_winner = self._pick_winner
-        for addr, entry in phase._writes.items():
-            kind = type(entry)
-            if kind is Collided:
-                # Arbitrary-winner concurrent write: the value present at the
-                # end of the phase is one of the written values, chosen by
-                # the machine (or its installed winner policy), not the
-                # algorithm.
-                memory[addr] = entry[pick_winner(addr, entry)][1]
-            else:
-                memory[addr] = entry[1] if kind is tuple else entry
+        # Arbitrary-winner concurrent write: the value present at the end
+        # of the phase is one of the written values, chosen by the machine
+        # (or its installed winner policy), not the algorithm.
+        self._apply_arbitrary_writes(phase)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -39,8 +39,12 @@ class PhaseTrace:
         reads: Dict[int, list] = {}
         for handle in phase._reads:
             block_addrs = getattr(handle, "addrs", None)
+            procs = getattr(handle, "procs", None)
             if block_addrs is None:  # scalar ReadHandle
                 reads.setdefault(handle.proc, []).append(handle.addr)
+            elif procs is not None:  # read_each: one processor per address
+                for proc, addr in zip(procs, block_addrs):
+                    reads.setdefault(proc, []).append(addr)
             else:  # BlockReadHandle
                 reads.setdefault(handle.proc, []).extend(block_addrs)
         from repro.core.machine import Collided

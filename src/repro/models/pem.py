@@ -28,7 +28,7 @@ from __future__ import annotations
 from typing import Any, Dict, Optional
 
 from repro.core.cost import pem_cost_terms, pem_phase_cost
-from repro.core.machine import Collided, Phase, SharedMemoryMachine
+from repro.core.machine import Phase, SharedMemoryMachine
 from repro.core.params import PEMParams
 from repro.core.phase import PhaseRecord
 
@@ -73,20 +73,10 @@ class PEM(SharedMemoryMachine):
         return pem_cost_terms(record, self.params)
 
     def _resolve_writes(self, phase: Phase) -> None:
-        # Same arbitrary-winner write rule as the QSM: collision-free
-        # phases land through the bulk paths, collisions route every
-        # conflicted cell through the seeded/policy-driven _pick_winner.
-        if not phase._write_collision:
-            self._apply_single_writes(phase)
-            return
-        memory = self._memory
-        pick_winner = self._pick_winner
-        for addr, entry in phase._writes.items():
-            kind = type(entry)
-            if kind is Collided:
-                memory[addr] = entry[pick_winner(addr, entry)][1]
-            else:
-                memory[addr] = entry[1] if kind is tuple else entry
+        # Same arbitrary-winner write rule as the QSM: collisions route
+        # every conflicted cell through the seeded/policy-driven
+        # _pick_winner.
+        self._apply_arbitrary_writes(phase)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -19,6 +19,7 @@ model (property-tested in ``tests/property/test_obs_props.py``):
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
@@ -80,8 +81,9 @@ class PhaseCostRecord:
         The phase's charge — always ``max(terms.values())``.
     contention:
         Histogram over cells: queue length -> number of cells whose queue
-        had that length this phase (read and write queues pooled).  On the
-        BSP the analogue: messages received -> number of components.
+        had that length this phase (read and write queues pooled), keyed
+        in ascending length so both engines serialize it identically.  On
+        the BSP the analogue: messages received -> number of components.
     ops_per_proc:
         Processor id -> total operations issued this phase (reads + writes
         + local ops; on the BSP: work + sends + receives).
@@ -147,6 +149,17 @@ class PhaseCostRecord:
         )
 
 
+def _depth_counts(queue: Mapping[int, int]) -> Mapping[int, int]:
+    """Histogram ``{queue depth: number of cells}`` of a per-cell queue.
+
+    Compact queues (the vector engine's ``CountQueue``) answer from their
+    own ``value_counts()`` aggregate without materializing a cell dict, as
+    :func:`~repro.core.phase.queue_max` does with ``max_value()``.
+    """
+    fast = getattr(queue, "value_counts", None)
+    return fast() if fast is not None else Counter(queue.values())
+
+
 def build_phase_cost_record(
     index: int,
     model: str,
@@ -159,17 +172,16 @@ def build_phase_cost_record(
     """Assemble a :class:`PhaseCostRecord` from a shared-memory phase."""
     from repro.core.phase import merge_counts
 
-    contention: Dict[int, int] = {}
-    for queue in (record.read_queue, record.write_queue):
-        for depth in queue.values():
-            contention[depth] = contention.get(depth, 0) + 1
+    contention = merge_counts(
+        _depth_counts(record.read_queue), _depth_counts(record.write_queue)
+    )
     return PhaseCostRecord(
         index=index,
         model=model,
         terms=dict(terms),
         dominant=dominant_of(terms),
         cost=float(cost),
-        contention=contention,
+        contention=dict(sorted(contention.items())),
         ops_per_proc=merge_counts(
             record.reads_per_proc, record.writes_per_proc, record.ops_per_proc
         ),
@@ -195,9 +207,7 @@ def build_superstep_cost_record(
     """
     from repro.core.phase import merge_counts
 
-    contention: Dict[int, int] = {}
-    for received in record.received_per_proc.values():
-        contention[received] = contention.get(received, 0) + 1
+    contention = dict(sorted(Counter(record.received_per_proc.values()).items()))
     return PhaseCostRecord(
         index=index,
         model=model,

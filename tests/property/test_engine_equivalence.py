@@ -27,6 +27,7 @@ from repro.core import (
     QSMGD,
     SQSM,
     BSPParams,
+    ConcurrencyViolation,
     MemoryConflictError,
     PRAMParams,
 )
@@ -37,6 +38,9 @@ from repro.models import MPC, PEM, MPCParams, PEMParams
 ADDRS = st.integers(0, 15)
 VALUES = st.integers(-5, 5)
 PROCS = st.integers(0, 3)
+# Processor or address entries that may be invalid on a 4-processor,
+# 16-cell machine (see TestColumnarOpsBitEquality).
+BAD_IDS = st.one_of(st.integers(-2, 17), st.sampled_from(["x", None, True]))
 
 
 def _block_addrs():
@@ -54,9 +58,17 @@ def _call(method, *args):
     return st.tuples(st.just(method), st.tuples(*args))
 
 
-def _write_ops():
+def _columns(procs=PROCS, addrs=ADDRS):
+    """Parallel ``(procs, addrs)`` columns for a columnar op: processors
+    and addresses both repeat within one call."""
+    return st.lists(st.tuples(procs, addrs), max_size=6).map(
+        lambda pairs: ([p for p, _ in pairs], [a for _, a in pairs])
+    )
+
+
+def _write_ops(procs=PROCS, addrs=ADDRS):
     return st.one_of(
-        _call("write", PROCS, ADDRS, VALUES),
+        _call("write", procs, addrs, VALUES),
         st.builds(
             lambda proc, addrs, seed: (
                 "write_cols", (proc, addrs, [seed + i for i in range(len(addrs))])
@@ -65,14 +77,27 @@ def _write_ops():
             _block_addrs(),
             VALUES,
         ),
+        st.builds(
+            lambda cols, seed: (
+                "write_each", cols + ([seed + i for i in range(len(cols[0]))],)
+            ),
+            _columns(procs, addrs),
+            VALUES,
+        ),
         _call("local", PROCS, st.integers(0, 4)),
+        st.builds(
+            lambda procs, ops: ("local_each", (procs, ops)),
+            st.lists(PROCS, max_size=6),
+            st.integers(0, 4),
+        ),
     )
 
 
-def _read_ops():
+def _read_ops(procs=PROCS, addrs=ADDRS):
     return st.one_of(
-        _call("read", PROCS, ADDRS),
+        _call("read", procs, addrs),
         _call("read_block", PROCS, _block_addrs()),
+        st.builds(lambda cols: ("read_each", cols), _columns(procs, addrs)),
         _call("local", PROCS, st.integers(0, 4)),
     )
 
@@ -83,7 +108,7 @@ def _replay_phase(machine, program):
     with machine.phase() as ph:
         for method, args in program:
             handle = getattr(ph, method)(*args)
-            if method in ("read", "read_block"):
+            if method.startswith("read"):
                 handles.append(handle)
     return handles
 
@@ -263,6 +288,81 @@ class TestPRAMBitEquality:
         _replay_phase(vec, prog)
         assert ref.history == vec.history
         assert ref._memory == vec._memory
+
+
+class TestColumnarOpsBitEquality:
+    @pytest.mark.parametrize("variant", ["EREW", "CREW", "CRCW"])
+    @pytest.mark.parametrize("rule", ["arbitrary", "priority", "common"])
+    @given(writes=write_phases, reads=read_phases)
+    @settings(max_examples=20, deadline=None)
+    def test_pram_steps_and_violations_identical(self, variant, rule, writes, reads):
+        # A PRAM step allows one access per processor and (by variant) no
+        # concurrent reads or writes; columnar steps that break either rule
+        # must raise the same ConcurrencyViolation on both engines.
+        def run(eng):
+            machine = PRAM(
+                PRAMParams(variant=variant, write_rule=rule), seed=3,
+                record_trace=True, engine=eng,
+            )
+            try:
+                vals = [
+                    _read_values(_replay_phase(machine, writes)),
+                    _read_values(_replay_phase(machine, reads)),
+                ]
+            except (ConcurrencyViolation, MemoryConflictError) as exc:
+                vals = (type(exc), str(exc))
+            return machine, vals
+
+        (ref, ref_vals), (vec, vec_vals) = run("reference"), run("vector")
+        assert ref_vals == vec_vals
+        assert ref.history == vec.history
+        assert ref._memory == vec._memory
+        assert ref.traces == vec.traces
+
+    @pytest.mark.parametrize("variant", ["EREW", "CREW"])
+    def test_pram_reports_the_same_violating_cell(self, variant):
+        # Two violating cells, the higher one touched first: both engines
+        # name the lowest-addressed one.
+        messages = set()
+        for eng in ("reference", "vector"):
+            machine = PRAM(PRAMParams(variant=variant), engine=eng)
+            with pytest.raises(ConcurrencyViolation) as info:
+                with machine.phase() as ph:
+                    ph.write_each([0, 1, 2, 3], [5, 5, 2, 2], [1, 2, 3, 4])
+            messages.add(str(info.value))
+        assert messages == {f"2 concurrent writers of cell 2 on a {variant} PRAM"}
+
+    @pytest.mark.parametrize("model", [QSM, GSM])
+    @given(
+        program=st.lists(
+            st.one_of(_write_ops(BAD_IDS, BAD_IDS), _read_ops(BAD_IDS, BAD_IDS)),
+            min_size=1, max_size=6,
+        )
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_bad_entries_fail_identically(self, model, program):
+        # Negative, non-int and out-of-range processors and addresses (the
+        # machines have 4 processors and 16 cells): the first bad pair
+        # raises the same error on both engines, and what the phase issued
+        # before it commits identically.
+        def run(eng):
+            machine = model(
+                num_processors=4, memory_size=16, seed=7, record_trace=True,
+                record_costs=True, engine=eng,
+            )
+            error = None
+            with machine.phase() as ph:
+                for method, args in program:
+                    try:
+                        getattr(ph, method)(*args)
+                    except (TypeError, ValueError, MemoryConflictError) as exc:
+                        error = (type(exc), str(exc))
+                        break
+            return machine, error
+
+        (ref, ref_error), (vec, vec_error) = run("reference"), run("vector")
+        assert ref_error == vec_error
+        _assert_machines_equal(ref, vec)
 
 
 class TestBSPBitEquality:

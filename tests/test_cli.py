@@ -463,3 +463,39 @@ class TestMetricsIntervalEnvValidation:
         monkeypatch.setenv("REPRO_METRICS_INTERVAL", "0.5")
         assert main(["nope"]) == 2  # proceeds to the unknown-experiment error
         assert "unknown experiment" in capsys.readouterr().err
+
+
+class TestTable1ExitStatus:
+    """A Table 1 run fails loudly: exit 1 on WRONG-ANSWER or VIOLATION."""
+
+    @pytest.fixture
+    def tiny_t1a(self, monkeypatch):
+        import benchmarks.bench_table1_qsm_time as t1a
+
+        # Serial, in-process and uncached, so a patched algorithm is the
+        # one every point runs; NS is bound at import, so patch it too.
+        monkeypatch.setenv("REPRO_JOBS", "1")
+        monkeypatch.delenv("REPRO_STORE", raising=False)
+        monkeypatch.setattr(t1a, "NS", [64, 128])
+        return t1a
+
+    def test_clean_run_exits_zero(self, tiny_t1a, capsys):
+        assert main(["t1a"]) == 0
+        captured = capsys.readouterr()
+        assert "WRONG-ANSWER" not in captured.out
+        assert "failed" not in captured.err
+
+    def test_wrong_answer_exits_one(self, tiny_t1a, monkeypatch, capsys):
+        from dataclasses import replace
+
+        real = tiny_t1a.parity_blocks
+
+        def flipped(machine, bits, **kwargs):
+            result = real(machine, bits, **kwargs)
+            return replace(result, value=1 - result.value)
+
+        monkeypatch.setattr(tiny_t1a, "parity_blocks", flipped)
+        assert main(["t1a"]) == 1
+        captured = capsys.readouterr()
+        assert "WRONG-ANSWER" in captured.out
+        assert "experiment t1a failed: Parity/deterministic: WRONG-ANSWER" in captured.err
