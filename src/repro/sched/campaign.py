@@ -29,13 +29,14 @@ dict — the cheap aggregation stages (verdict tables, summaries) that
 need cross-task data but no isolation.  Inline outcomes are not stored:
 they are derived data, recomputed from stored results on resume.
 
-The DAG-stepping state itself lives in :class:`CampaignExecution`, an
-incremental state machine with no pool loop of its own.  ``run_campaign``
-drives exactly one execution to completion on one pool; the multi-tenant
-service multiplexer (:class:`repro.sched.tenancy.FairShareMultiplexer`,
-behind ``python -m repro serve``) drives many concurrent executions on a
-single shared pool, which is why the stepping logic is factored out here
-rather than inlined in the driver loop.
+The DAG-stepping state lives in :class:`CampaignExecution`, an
+incremental state machine with no pool loop of its own.  One driver
+steps executions on a pool: the multi-tenant
+:class:`repro.sched.tenancy.FairShareMultiplexer` (behind ``python -m
+repro serve``).  ``run_campaign`` is its one-job case: it submits the
+campaign as the multiplexer's only job and steps it until the job is
+terminal, so dispatch, backpressure, retries and tracing spans exist
+once.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ import heapq
 import signal
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.obs import metrics as _metrics
 from repro.obs import tracing as _tracing
@@ -233,46 +234,28 @@ class CampaignExecution:
     frontier, dependency unlocking, retries accounting, the final
     skipped/pending classification) and the store writes; *when* tasks
     are handed to a pool, and to which pool, is the driver's business.
-    Two drivers exist:
-
-    * :func:`run_campaign` — one execution, one pool, runs to completion;
-    * :class:`repro.sched.tenancy.FairShareMultiplexer` — many concurrent
-      executions (one per tenant job) interleaved on one shared pool,
-      with per-tenant fair-share and live cross-job dedup.
+    The one driver is :meth:`repro.sched.tenancy.FairShareMultiplexer.step`:
+    many concurrent executions (one per tenant job) interleaved on one
+    shared pool, with per-tenant fair-share and live cross-job dedup.
+    :func:`run_campaign` is its one-job case.  The resume pass runs in
+    the constructor.
 
     ``labels`` (e.g. ``{"tenant": "alice"}``) are folded into every
     metrics-registry series the execution touches, so a multi-tenant
-    snapshot can be sliced per tenant while unlabeled single-campaign
-    runs keep their PR-5 series shapes.
-
-    Driver protocol::
-
-        ex = CampaignExecution(campaign, store)     # resume pass runs here
-        while ex.has_pending:
-            name = ex.pop_ready()
-            if name is None: ...wait for events...
-            elif ex.tasks[name].inline: ex.run_inline(name)
-            else: spec = ex.start(name); pool.submit(name, spec.fn, ...)
-            for event in pool.events():
-                if ex.record_event(event) == "retry":
-                    spec = ex.start(event.key); pool.submit(...)
-        spans = ex.finish(cancelled=False)
+    snapshot can be sliced per tenant.
     """
 
     def __init__(
         self,
         campaign: Campaign,
         store: ResultStore,
-        clock: Optional[Callable[[], float]] = None,
         progress: Optional[Callable[[str], None]] = None,
         labels: Optional[Mapping[str, str]] = None,
     ) -> None:
-        if clock is None:
-            t0 = time.monotonic()
-            clock = lambda: time.monotonic() - t0  # noqa: E731
+        t0 = time.monotonic()
         self.campaign = campaign
         self.store = store
-        self.clock = clock
+        self.clock: Callable[[], float] = lambda: time.monotonic() - t0
         self.labels: Dict[str, str] = dict(labels or {})
         self._progress = progress
         self.tasks: Dict[str, TaskSpec] = {t.name: t for t in campaign.tasks}
@@ -288,8 +271,8 @@ class CampaignExecution:
         self._counter = 0
         self._ready: List[Tuple[int, int, str]] = []  # (-priority, seq, name)
         self._finished_spans: Optional[Tuple[TaskSpan, ...]] = None
-        # Distributed-trace correlation key, set by the driver when tracing
-        # is on (run_campaign's root span / the multiplexer's job span).
+        # Distributed-trace correlation key: the multiplexer's job span's
+        # trace id when tracing is on.
         self.trace_id: Optional[str] = None
 
         # Resume pass: anything already in the store is complete, regardless
@@ -316,6 +299,12 @@ class CampaignExecution:
             for t in campaign.tasks
             if t.name not in self.outcomes
         }
+        # Reverse index, in campaign order: a completion unlocks its own
+        # dependents without scanning every remaining task.
+        self._dependents: Dict[str, List[str]] = {}
+        for name, deps in self.remaining_deps.items():
+            for dep in deps:
+                self._dependents.setdefault(dep, []).append(name)
         for t in campaign.tasks:
             if t.name in self.remaining_deps and not self.remaining_deps[t.name]:
                 self._push_ready(t.name)
@@ -435,7 +424,8 @@ class CampaignExecution:
         self._emit(f"[{len(self.outcomes)}/{self.total}] {span.status} {name} "
                    f"({span.end - span.start:.2f}s"
                    + (f", worker {span.worker}" if span.worker else "") + ")")
-        for other, deps in self.remaining_deps.items():
+        for other in self._dependents.get(name, ()):
+            deps = self.remaining_deps[other]
             if name in deps:
                 deps.discard(name)
                 if not deps and other not in self.in_flight:
@@ -506,7 +496,7 @@ class CampaignExecution:
 
     # -- termination --------------------------------------------------------
 
-    def finish(self, cancelled: bool = False) -> Tuple[TaskSpan, ...]:
+    def finish(self) -> Tuple[TaskSpan, ...]:
         """Classify unfinished tasks and return the spans in campaign order.
 
         The transitive closure of failure is ``skipped`` (task-list order
@@ -560,6 +550,11 @@ def run_campaign(
 ) -> CampaignReport:
     """Execute ``campaign`` on a warm pool, persisting outcomes to ``store``.
 
+    The campaign is the only job (tenant ``"local"``) of a
+    :class:`~repro.sched.tenancy.FairShareMultiplexer` stepped until the
+    job is terminal; at most ``max_in_flight`` tasks (default
+    ``2 * jobs``) are on the pool at once.
+
     Pass an existing ``pool`` to share workers across campaigns (it is not
     shut down) — forked local workers or remote ones behind a port alike;
     otherwise one is created with ``jobs`` forked workers and torn down
@@ -580,14 +575,13 @@ def run_campaign(
     True``) lists the unfinished tasks as ``pending`` — re-running the
     campaign resumes from the store.
     """
-    owns_pool = pool is None
-    if pool is None:
-        pool = WorkerPool(jobs=jobs)
-    if max_in_flight is None:
-        max_in_flight = 2 * pool.jobs
-    if max_in_flight < 1:
-        raise ValueError(f"max_in_flight must be >= 1, got {max_in_flight}")
+    from repro.sched.tenancy import FairShareMultiplexer, TenantQuota
 
+    mux = FairShareMultiplexer(
+        store, pool=pool, jobs=jobs, max_in_flight=max_in_flight,
+        quota=TenantQuota(max_jobs=1, max_tasks_per_job=max(1, len(campaign.tasks))),
+        progress=None if progress is None else (lambda job_id, line: progress(line)),
+    )
     writer = None
     was_enabled = _metrics.REGISTRY.enabled
     if metrics_path is not None:
@@ -597,97 +591,18 @@ def run_campaign(
         writer = SnapshotWriter(metrics_path, interval=metrics_interval)
 
     t0 = time.monotonic()
-
-    def now() -> float:
-        return time.monotonic() - t0
-
-    registry = _metrics.REGISTRY
-    if registry.enabled:
-        registry.gauge(
-            "repro_campaign_tasks", "tasks in the running campaign"
-        ).set(len(campaign.tasks))
-        registry.gauge(
-            "repro_campaign_jobs", "pool workers serving the campaign"
-        ).set(pool.jobs)
-
-    execution = CampaignExecution(campaign, store, clock=now, progress=progress)
+    job = None
     cancelled = False
-
-    # Distributed tracing (zero-cost when $REPRO_TRACE is off): the run
-    # gets a root "job" span and each task a child "task" span whose context
-    # rides to the workers inside the task frames, so remote-side exec
-    # spans and PhaseCostRecord stamps all share one trace_id.
-    root_span = None
-    task_spans: Dict[str, Any] = {}
-    if _tracing.TRACER.enabled:
-        root_span = _tracing.TRACER.start_span(
-            f"campaign:{campaign.name}", kind="job",
-            attrs={"campaign": campaign.name, "tasks": len(campaign.tasks)},
-        )
-        execution.trace_id = root_span.trace_id
-
-    def dispatch(name: str) -> None:
-        spec = execution.start(name)
-        trace = None
-        if root_span is not None:
-            span = task_spans.get(name)
-            if span is None:
-                span = _tracing.TRACER.start_span(
-                    name, kind="task", parent=root_span, attrs={"task": name}
-                )
-                task_spans[name] = span
-            span.attrs["attempts"] = execution.attempts[name]
-            trace = span.context.to_dict()
-        pool.submit(name, spec.fn, spec.kwargs, timeout=spec.timeout, trace=trace)
-
     restore_sigint = None
     try:
-        while execution.has_pending:
-            if registry.enabled:
-                registry.gauge(
-                    "repro_campaign_frontier_size", "ready-to-dispatch tasks"
-                ).set(execution.ready_count)
-                registry.gauge(
-                    "repro_campaign_in_flight", "tasks handed to the pool"
-                ).set(len(execution.in_flight))
+        job = mux.submit("local", campaign)  # the resume pass runs here
+        while not job.terminal:
+            mux.step(wait=0.5)
             if writer is not None:
                 writer.maybe_emit()
-            # Dispatch the frontier, highest priority first, under backpressure.
-            while pool.in_flight < max_in_flight:
-                name = execution.pop_ready()
-                if name is None:
-                    break
-                if execution.tasks[name].inline:
-                    if root_span is not None:
-                        with _tracing.TRACER.span(
-                            name, kind="task", parent=root_span,
-                            attrs={"task": name, "inline": True},
-                        ):
-                            execution.run_inline(name)
-                    else:
-                        execution.run_inline(name)
-                else:
-                    dispatch(name)
-            if not execution.in_flight:
-                if execution.has_pending:
-                    # Backpressure from a shared pool still draining another
-                    # campaign's leftovers; give it a beat to free slots.
-                    pool.events(wait=0.1)
-                continue  # inline completions may have opened new frontier
-
-            for event in pool.events(wait=0.5):
-                if event.key not in execution.tasks:
-                    continue  # a shared pool's stale leftovers
-                verdict = execution.record_event(event)
-                if verdict == "retry":
-                    dispatch(event.key)
-                elif root_span is not None:
-                    span = task_spans.pop(event.key, None)
-                    if span is not None:
-                        _tracing.TRACER.finish(
-                            span, status="ok" if verdict == "done" else "error"
-                        )
     except KeyboardInterrupt:
+        if job is None:
+            raise  # interrupted before there was a job to report on
         cancelled = True
         # `timeout -s INT` (and an impatient Ctrl-C Ctrl-C) delivers SIGINT
         # both to the process and to its group, so a second interrupt can
@@ -696,49 +611,35 @@ def run_campaign(
             restore_sigint = signal.signal(signal.SIGINT, signal.SIG_IGN)
         except ValueError:  # not the main thread: nothing to mask
             restore_sigint = None
-        pool.cancel_pending()
+        mux.pool.cancel_pending()
         if progress is not None:
             progress(f"campaign {campaign.name} cancelled — "
-                     f"{len(execution.outcomes)}/{execution.total} task(s) stored; "
-                     "re-run to resume")
+                     f"{len(job.execution.outcomes)}/{job.task_count} task(s) "
+                     "stored; re-run to resume")
     finally:
         try:
-            if owns_pool:
-                pool.shutdown()
+            # Ends an unfinished job as cancelled (its tasks pending, its
+            # spans closed, the live gauges zeroed) and stops an owned pool.
+            mux.shutdown()
         finally:
             if restore_sigint is not None:
                 signal.signal(signal.SIGINT, restore_sigint)
-            # The final snapshot must survive *every* exit path — a task
-            # function raising out of the event loop used to skip the
-            # close() below and lose it (and leave the registry enabled).
+            # The final snapshot must survive *every* exit path, a task
+            # callback raising out of the step loop included.
             if writer is not None:
-                if registry.enabled:
-                    registry.gauge("repro_campaign_frontier_size").set(0)
-                    registry.gauge("repro_campaign_in_flight").set(0)
                 writer.close()
                 if not was_enabled:
-                    registry.disable()
-            if root_span is not None:
-                for span in task_spans.values():
-                    _tracing.TRACER.finish(span, status="cancelled")
-                _tracing.TRACER.finish(
-                    root_span, status="cancelled" if cancelled else "ok"
-                )
+                    _metrics.REGISTRY.disable()
 
-    ordered = execution.finish(cancelled=cancelled)
     report = CampaignReport(
         campaign=campaign.name,
-        spans=ordered,
+        spans=job.spans,
         cancelled=cancelled,
-        wall_time=now(),
+        wall_time=time.monotonic() - t0,
         store_root=store.root,
-        pool_stats=dict(pool.stats),
-        trace_id=execution.trace_id,
+        pool_stats=dict(mux.pool.stats),
+        trace_id=job.trace_id,
     )
-
-    snapshots: Sequence[Any] = ()
-    if writer is not None:
-        snapshots = writer.snapshots
 
     if trace_path is not None:
         from repro.obs.exporters import write_combined_trace
@@ -749,7 +650,7 @@ def run_campaign(
         # scheduler spans and the metrics counter lane.
         phase_lanes = []
         for task in campaign.tasks:
-            outcome = execution.outcomes.get(task.name)
+            outcome = job.execution.outcomes.get(task.name)
             if isinstance(outcome, Mapping) and outcome.get("cost_records"):
                 try:
                     records = [
@@ -765,15 +666,15 @@ def run_campaign(
         # lanes draws the flow arrows from each exec span down to its
         # stamped phase-cost rows.
         trace_spans = []
-        if _tracing.TRACER.enabled and execution.trace_id is not None:
+        if _tracing.TRACER.enabled and job.trace_id is not None:
             trace_spans = [
                 s.to_dict() for s in list(_tracing.TRACER.finished)
-                if s.trace_id == execution.trace_id
+                if s.trace_id == job.trace_id
             ]
         write_combined_trace(
             trace_path,
-            spans=[s.to_dict() for s in ordered],
-            snapshots=snapshots,
+            spans=[s.to_dict() for s in job.spans],
+            snapshots=() if writer is None else writer.snapshots,
             phase_lanes=phase_lanes,
             trace_spans=trace_spans,
         )

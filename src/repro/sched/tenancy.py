@@ -1,12 +1,14 @@
 """Multi-tenant fair-share multiplexing of campaigns onto one warm pool.
 
-:func:`repro.sched.campaign.run_campaign` drives **one** campaign to
-completion and owns the process while it does.  A long-running service
-(``python -m repro serve``) has the opposite shape: many tenants submit
-campaigns concurrently, and all of them must share a single warm
-:class:`~repro.sched.pool.WorkerPool` and one content-addressed
+A long-running service (``python -m repro serve``) has many tenants
+submitting campaigns concurrently, and all of them must share a single
+warm :class:`~repro.sched.pool.WorkerPool` and one content-addressed
 :class:`~repro.sched.store.ResultStore` without any tenant starving the
-rest.  This module is that scheduling layer:
+rest.  This module is that scheduling layer, and the only loop that
+steps a :class:`~repro.sched.campaign.CampaignExecution` on a pool:
+:func:`repro.sched.campaign.run_campaign` is its one-job case, a
+multiplexer with one tenant and one job stepped until that job is
+terminal.
 
 * **Per-tenant queues** — each tenant owns a FIFO of jobs (a job = one
   submitted :class:`~repro.sched.campaign.Campaign` wrapped in a
@@ -15,16 +17,16 @@ rest.  This module is that scheduling layer:
 * **Fair-share dispatch** — free pool slots are handed out round-robin
   *across tenants*, one task per turn, so a tenant with a 10 000-task
   campaign and a tenant with a 4-task campaign both keep their frontier
-  moving.  Within a tenant, jobs run oldest-first and tasks highest-
-  priority-first (the same ordering ``run_campaign`` uses).
+  moving.  Within a tenant, jobs are dispatched oldest-first and tasks
+  highest-priority-first.
 * **Quotas** (:class:`TenantQuota`) — per-tenant caps on concurrent
   jobs, on tasks in flight on the pool, and on submitted campaign size.
   A submission over quota raises :class:`QuotaExceeded`, which the HTTP
   layer maps to a ``429``-style contract error.
 * **Pool admission** — the global ``max_in_flight`` backpressure bound
-  (default ``2 * pool.jobs``, exactly ``run_campaign``'s) still applies
-  across all tenants, so a burst of submissions queues in the scheduler
-  rather than materialising as pickles in the pool.
+  (default ``2 * pool.jobs``) applies across all tenants, so a burst of
+  submissions queues in the scheduler rather than materialising as
+  pickles in the pool.
 * **Live cross-tenant dedup** — the store already dedups *completed*
   work (identical task specs share one SHA-256 object).  The multiplexer
   extends that to *in-flight* work: a task whose content key is already
@@ -53,6 +55,7 @@ or cancellation calls ``pool.wake()`` so that wait ends at once.
 from __future__ import annotations
 
 import collections
+import functools
 import itertools
 import threading
 from dataclasses import dataclass, field
@@ -222,8 +225,9 @@ class FairShareMultiplexer:
     max_in_flight:
         Global pool admission bound; default ``2 * pool.jobs``.
     progress:
-        Optional line sink receiving ``"job-id: ..."``-prefixed task
-        progress (what ``serve --verbose`` prints).
+        Optional sink called as ``progress(job_id, line)`` once per task
+        state change; ``line`` carries no job id (the service's sink
+        prefixes it, ``run_campaign``'s passes it on as it is).
     """
 
     def __init__(
@@ -233,8 +237,10 @@ class FairShareMultiplexer:
         jobs: Optional[int] = None,
         quota: Optional[TenantQuota] = None,
         max_in_flight: Optional[int] = None,
-        progress: Optional[Any] = None,
+        progress: Optional[Callable[[str, str], None]] = None,
     ) -> None:
+        if max_in_flight is not None and max_in_flight < 1:
+            raise ValueError(f"max_in_flight must be >= 1, got {max_in_flight}")
         self.store = store
         self._owns_pool = pool is None
         self.pool = WorkerPool(jobs=jobs) if pool is None else pool
@@ -242,8 +248,6 @@ class FairShareMultiplexer:
         self.max_in_flight = (
             2 * self.pool.jobs if max_in_flight is None else int(max_in_flight)
         )
-        if self.max_in_flight < 1:
-            raise ValueError(f"max_in_flight must be >= 1, got {max_in_flight}")
         self._progress = progress
         self._lock = threading.RLock()
         self._jobs: Dict[str, JobRecord] = {}  # insertion-ordered
@@ -254,7 +258,8 @@ class FairShareMultiplexer:
         self._inflight_keys: Dict[str, Tuple[str, str]] = {}
         #: content key -> [(job id, task name), ...] parked on it.
         self._waiters: Dict[str, List[Tuple[str, str]]] = {}
-        #: tenant -> pool tasks currently held (dedup waits excluded).
+        #: tenant -> pool tasks currently held (dedup waits excluded); every
+        #: tenant that ever submitted has an entry.
         self._tenant_inflight: Dict[str, int] = {}
         #: Jobs that reached a terminal state since the last step() drain.
         self._newly_finished: List[JobRecord] = []
@@ -265,6 +270,8 @@ class FairShareMultiplexer:
         #: as an attribute) and are finished in _collect/_finish.
         self._job_spans: Dict[str, Any] = {}
         self._task_spans: Dict[Tuple[str, str], Any] = {}
+        #: Tasks of every job admitted so far (the ``k/N done`` total).
+        self._tasks_admitted = 0
         self._closed = False
 
     # -- submission side (any thread) ---------------------------------------
@@ -275,12 +282,15 @@ class FairShareMultiplexer:
         campaign: Campaign,
         job_id: Optional[str] = None,
         parent: Optional["_tracing.SpanContext"] = None,
+        on_admit: Optional[Callable[[JobRecord], None]] = None,
     ) -> JobRecord:
         """Admit ``campaign`` for ``tenant``; raises :class:`QuotaExceeded`.
 
-        The job starts ``queued``; the scheduler loop activates it (which
-        runs the store resume pass) on its next :meth:`step`.  On traced
-        runs a ``job`` span opens here — parented on ``parent`` (the HTTP
+        The store resume pass runs here; the job starts ``queued`` and the
+        scheduler loop activates it on its next :meth:`step`.
+        ``on_admit(job)`` runs under the lock before the scheduler is
+        woken, so it sees the job exactly as admitted.  On traced runs a
+        ``job`` span opens here — parented on ``parent`` (the HTTP
         request span, typically) — and closes when the job goes terminal;
         its duration is the end-to-end SLO sample.
         """
@@ -329,10 +339,14 @@ class FairShareMultiplexer:
                     job.trace_id = span.trace_id
                     execution.trace_id = span.trace_id
             self._jobs[job_id] = job
+            self._tenant_inflight.setdefault(tenant, 0)
+            self._tasks_admitted += job.task_count
             if _metrics.REGISTRY.enabled:
                 _metrics.REGISTRY.counter(
                     "repro_serve_jobs_total", "job submissions by tenant"
                 ).inc(tenant=tenant)
+            if on_admit is not None:
+                on_admit(job)
         self.pool.wake()  # admit it now, not after the scheduler's wait
         return job
 
@@ -374,9 +388,12 @@ class FairShareMultiplexer:
                 if tenant is None or j.tenant == tenant
             ]
 
-    def tenants(self) -> List[str]:
+    def view_jobs(
+        self, render: Callable[[List[JobRecord]], Any], tenant: Optional[str] = None
+    ) -> Any:
+        """``render(self.jobs(tenant))`` in one hold of the lock."""
         with self._lock:
-            return sorted({j.tenant for j in self._jobs.values()})
+            return render(self.jobs(tenant))
 
     @property
     def active(self) -> bool:
@@ -397,7 +414,10 @@ class FairShareMultiplexer:
         changed: List[JobRecord] = []
         with self._lock:
             self._activate(changed)
-            self._dispatch()
+            if changed:
+                # Only a newly activated job can have work to dispatch
+                # here; everything else was dispatched after the last wait.
+                self._dispatch()
         # The blocking wait happens outside the lock so submissions and
         # cancellations from HTTP threads never stall behind it; they
         # wake the pool, so an idle scheduler sleeps here instead of
@@ -418,20 +438,16 @@ class FairShareMultiplexer:
             for job in self._jobs.values():
                 if not job.terminal:
                     self._finish(job, "cancelled")
+            self._update_gauges()
         if self._owns_pool:
             self.pool.shutdown()
 
     # -- internals (lock held) ----------------------------------------------
 
-    def _job_progress(self, job_id: str):
+    def _job_progress(self, job_id: str) -> Optional[Callable[[str], None]]:
         if self._progress is None:
             return None
-        sink = self._progress
-
-        def emit(line: str) -> None:
-            sink(f"{job_id}: {line}")
-
-        return emit
+        return functools.partial(self._progress, job_id)
 
     def _activate(self, changed: List[JobRecord]) -> None:
         """Move queued jobs to running (their resume pass ran at submit)."""
@@ -613,7 +629,7 @@ class FairShareMultiplexer:
         if span is None:
             parent_span = self._job_spans.get(job.id)
             span = _tracing.TRACER.start_span(
-                f"{job.id}/{name}", kind="task",
+                name, kind="task",
                 parent=None if parent_span is None else parent_span.context,
                 attrs={"job": job.id, "task": name, "tenant": job.tenant},
             )
@@ -638,8 +654,7 @@ class FairShareMultiplexer:
 
     def _finish(self, job: JobRecord, state: Optional[str]) -> None:
         """Move ``job`` to a terminal state and freeze its spans."""
-        cancelled = state == "cancelled"
-        job.spans = job.execution.finish(cancelled=cancelled)
+        job.spans = job.execution.finish()
         if state is None:
             ok = all(s.status in ("done", "cached") for s in job.spans)
             state = "done" if ok else "failed"
@@ -669,21 +684,37 @@ class FairShareMultiplexer:
             ).inc(tenant=job.tenant, state=state)
 
     def _update_gauges(self) -> None:
+        """Set the service and campaign gauges in one pass over the jobs.
+
+        ``campaign status --follow`` reads the campaign gauges; the live
+        ones (frontier, in flight) read 0 once no job is live.
+        """
         if not _metrics.REGISTRY.enabled:
             return
         registry = _metrics.REGISTRY
-        by_tenant: Dict[str, int] = {}
-        for job in self._jobs.values():
-            if not job.terminal:
-                by_tenant[job.tenant] = by_tenant.get(job.tenant, 0) + 1
+        by_tenant = dict.fromkeys(self._tenant_inflight, 0)
+        frontier = in_flight = 0
+        for job in self._jobs.values():  # every job ever admitted: keep it cheap
+            if job.state not in _TERMINAL:
+                by_tenant[job.tenant] += 1
+                frontier += job.execution.ready_count
+                in_flight += len(job.execution.in_flight)
         gauge = registry.gauge(
             "repro_serve_active_jobs", "non-terminal jobs by tenant"
         )
-        for tenant in self.tenants():
-            gauge.set(by_tenant.get(tenant, 0), tenant=tenant)
-            registry.gauge(
-                "repro_serve_tenant_in_flight", "pool tasks held by tenant"
-            ).set(self._tenant_inflight.get(tenant, 0), tenant=tenant)
-        registry.gauge(
-            "repro_serve_pool_in_flight", "pool tasks in flight across tenants"
-        ).set(self.pool.in_flight)
+        held = registry.gauge(
+            "repro_serve_tenant_in_flight", "pool tasks held by tenant"
+        )
+        for tenant, active in by_tenant.items():
+            gauge.set(active, tenant=tenant)
+            held.set(self._tenant_inflight[tenant], tenant=tenant)
+        for name, text, value in (
+            ("repro_serve_pool_in_flight", "pool tasks in flight across tenants",
+             self.pool.in_flight),
+            ("repro_campaign_tasks", "tasks of every job admitted", self._tasks_admitted),
+            ("repro_campaign_jobs", "pool workers", self.pool.jobs),
+            ("repro_campaign_frontier_size", "ready-to-dispatch tasks", frontier),
+            ("repro_campaign_in_flight", "tasks on the pool or parked on a dedup wait",
+             in_flight),
+        ):
+            registry.gauge(name, text).set(value)

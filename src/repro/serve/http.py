@@ -47,8 +47,6 @@ from repro.serve.contracts import (
     TENANT_HEADER,
     ContractError,
     SubmitRequest,
-    job_view,
-    jobs_view,
 )
 from repro.serve.service import CampaignService
 from repro.serve.sse import format_sse_event
@@ -137,7 +135,7 @@ class ServeHandler(BaseHTTPRequestHandler):
                 self._send_json(self.service.campaigns())
             elif path == "/v1/jobs":
                 tenant = None if query.get("all") else self._tenant()
-                self._send_json(jobs_view(self.service.jobs(tenant)))
+                self._send_json(self.service.jobs_view(tenant))
             elif path == "/v1/workers":
                 self._send_json(self.service.workers())
             elif path == "/v1/slo":
@@ -149,7 +147,7 @@ class ServeHandler(BaseHTTPRequestHandler):
                 if rest.endswith("/events"):
                     self._stream_events(job_id=rest[: -len("/events")], query=query)
                 elif "/" not in rest:
-                    self._send_json(job_view(self.service.job(rest)))
+                    self._send_json(self.service.view(self.service.job(rest)))
                 else:
                     raise ContractError("not_found", f"no route {path!r}", status=404)
             else:
@@ -182,13 +180,13 @@ class ServeHandler(BaseHTTPRequestHandler):
                 )
             status = "ok"
             try:
-                job = self.service.submit(
+                job, view = self.service.submit(
                     self._tenant(), request,
                     parent=None if span is None else span.context,
                 )
                 if span is not None:
                     span.attrs["job"] = job.id
-                self._send_json(job_view(job), status=201)
+                self._send_json(view, status=201)
             except ContractError:
                 status = "error"
                 raise
@@ -204,7 +202,7 @@ class ServeHandler(BaseHTTPRequestHandler):
             if not path.startswith("/v1/jobs/") or "/" in path[len("/v1/jobs/"):]:
                 raise ContractError("not_found", f"no route {path!r}", status=404)
             job = self.service.cancel(path[len("/v1/jobs/"):], self._tenant())
-            self._send_json(job_view(job))
+            self._send_json(self.service.view(job))
         except ContractError as exc:
             self._send_error(exc)
 

@@ -5,9 +5,10 @@
 :class:`~repro.sched.tenancy.FairShareMultiplexer` — and runs the single
 scheduler thread that all pool interaction is confined to.  The HTTP
 front end (:mod:`repro.serve.http`) calls in from handler threads:
-``submit``/``cancel``/``job`` are lock-safe multiplexer calls, and
-``subscribe`` registers a bounded queue that the scheduler loop feeds
-with two kinds of events:
+``submit``/``cancel``/``job`` are lock-safe multiplexer calls, every job
+envelope is rendered under the multiplexer lock (``view``/``jobs_view``),
+and ``subscribe`` registers a bounded queue that the scheduler loop feeds
+with three kinds of events:
 
 * ``job`` — a :func:`~repro.serve.contracts.job_view` envelope whenever
   a job changes state (queued → running → done/failed/cancelled);
@@ -51,6 +52,7 @@ from repro.serve.contracts import (
     SubmitRequest,
     fleet_view,
     job_view,
+    jobs_view,
     slo_view,
 )
 from repro.serve.registry import CampaignEntry, default_registry
@@ -127,7 +129,9 @@ class CampaignService:
             self.store,
             pool=WorkerPool(jobs=jobs, port=workers_port, host=workers_host),
             quota=quota,
-            progress=progress,
+            progress=None if progress is None else (
+                lambda job_id, line: progress(f"{job_id}: {line}")
+            ),
         )
         self._subs: List[Subscription] = []
         self._subs_lock = threading.Lock()
@@ -180,9 +184,11 @@ class CampaignService:
         tenant: str,
         request: SubmitRequest,
         parent: Optional["_tracing.SpanContext"] = None,
-    ) -> JobRecord:
-        """Validate, build, and admit a submission; returns the new job.
+    ) -> Tuple[JobRecord, Dict[str, Any]]:
+        """Validate, build, and admit a submission.
 
+        Returns the new job and its envelope as admitted (``queued``,
+        rendered before the scheduler is woken) — the ``201`` body.
         ``parent`` is the HTTP request span's context on traced runs —
         the job span (and every task/exec/phase span under it) joins
         that trace, so one ``trace_id`` covers submit to terminal state.
@@ -198,12 +204,16 @@ class CampaignService:
                 status=404,
             )
         campaign = entry.build(request.options)
+        admitted: List[Dict[str, Any]] = []
         try:
-            job = self.mux.submit(tenant, campaign, parent=parent)
+            job = self.mux.submit(
+                tenant, campaign, parent=parent,
+                on_admit=lambda record: admitted.append(job_view(record)),
+            )
         except QuotaExceeded as exc:
             raise ContractError(exc.code, str(exc), status=429)
         self._broadcast_job(job)
-        return job
+        return job, admitted[0]
 
     def job(self, job_id: str) -> JobRecord:
         job = self.mux.job(job_id)
@@ -211,8 +221,13 @@ class CampaignService:
             raise ContractError("not_found", f"no job {job_id!r}", status=404)
         return job
 
-    def jobs(self, tenant: Optional[str] = None) -> List[JobRecord]:
-        return self.mux.jobs(tenant)
+    def view(self, job: JobRecord) -> Dict[str, Any]:
+        """``job``'s envelope, read in one hold of the multiplexer lock."""
+        return self.mux.view(job, job_view)[0]
+
+    def jobs_view(self, tenant: Optional[str] = None) -> Dict[str, Any]:
+        """The job-list envelope, read in one hold of the multiplexer lock."""
+        return self.mux.view_jobs(jobs_view, tenant)
 
     def cancel(self, job_id: str, tenant: str) -> JobRecord:
         """Cancel ``job_id`` if it belongs to ``tenant``.

@@ -141,6 +141,17 @@ class TestExecution:
         assert report.spans[0].status == "failed"
         assert report.spans[0].attempts == 2
 
+    def test_campaign_over_the_default_job_quota(self, tmp_path):
+        # 4,097 tasks: one more than a service tenant's default
+        # max_tasks_per_job, and enough that a completion scanning every
+        # remaining task's deps would be quadratic.
+        camp = Campaign("big", [
+            TaskSpec(f"t{i}", total, inline=True) for i in range(4097)
+        ])
+        report = run_campaign(camp, ResultStore(str(tmp_path)), jobs=1)
+        assert report.ok
+        assert report.counts == {"done": 4097}
+
     def test_inline_failure_marks_failed(self, tmp_path):
         camp = Campaign("c", [
             TaskSpec("bad", lambda results: 1 / 0, inline=True),
@@ -219,7 +230,9 @@ class TestResume:
 
 
 class TestCancel:
-    def test_keyboard_interrupt_cancels_cleanly(self, tmp_path):
+    @pytest.mark.parametrize("metrics", [False, True], ids=["plain", "metrics"])
+    def test_keyboard_interrupt_cancels_cleanly(self, tmp_path, metrics):
+        metrics_path = str(tmp_path / "metrics.jsonl") if metrics else None
         camp = Campaign("c", [
             TaskSpec("a", emit, {"value": 1}),
             TaskSpec("b", emit, {"value": 2}, deps=("a",)),
@@ -234,12 +247,19 @@ class TestCancel:
             if " done " in f" {line} ":
                 raise KeyboardInterrupt
 
-        report = run_campaign(camp, store, jobs=1, progress=interrupt_after_first)
+        report = run_campaign(camp, store, jobs=1, progress=interrupt_after_first,
+                              metrics_path=metrics_path)
         assert report.cancelled
         assert not report.ok
         statuses = {s.name: s.status for s in report.spans}
         assert statuses["a"] == "done"
         assert "pending" in (statuses["b"], statuses["c"])
+        if metrics:
+            from repro.obs.snapshot import live_status_line, read_snapshots
+
+            final = read_snapshots(metrics_path)[-1]
+            assert final.final
+            assert "frontier 0  in-flight 0" in live_status_line(final)
         # What completed before the interrupt is resumable from the store.
         resumed = run_campaign(camp, store, jobs=1)
         assert resumed.ok

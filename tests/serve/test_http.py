@@ -64,6 +64,34 @@ def test_submit_watch_complete(server):
     assert final["counts"] == {"done": 4}
 
 
+def test_submit_answers_with_the_job_as_admitted(tmp_path):
+    """The 201 is rendered before the scheduler is woken, so it says
+    ``queued`` even when the scheduler activates the job inside the wake."""
+    service = CampaignService(
+        str(tmp_path / "store"), jobs=1, snapshot_interval=10.0
+    )
+    mux = service.mux
+    # No scheduler thread: the wake itself steps the multiplexer, so
+    # the scheduler always wins the race against the handler.
+    mux.pool.wake = lambda: mux.step(wait=0.0)
+    srv = create_server(service, port=0)
+    thread = threading.Thread(target=srv.serve_forever, daemon=True)
+    thread.start()
+    try:
+        job = client_for(srv, tenant="alice").submit(
+            "demo", {"points": 3, "delay": 0.0}
+        )
+        assert mux.job(job["id"]).state == "running"
+        assert job["state"] == "queued"
+        assert job["counts"] == {"pending": 4}
+    finally:
+        srv.shutdown()
+        thread.join(timeout=10)
+        srv.server_close()
+        del mux.pool.wake
+        service.stop()
+
+
 def test_duplicate_submission_is_cached_for_second_tenant(server):
     alice = client_for(server, tenant="alice")
     bob = client_for(server, tenant="bob")

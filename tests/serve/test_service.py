@@ -24,14 +24,16 @@ from repro.serve.service import CampaignService
 # Module-level task functions (pool tasks must pickle).
 
 def emit(value, tenant="", marker_dir=None, name="", delay=0.0):
-    """Return a small outcome; optionally count executions via marker files."""
+    """Return a small outcome; optionally count executions via marker files.
+
+    Each execution appends one byte, so executions on concurrent workers
+    never lose a count.
+    """
     if delay:
         time.sleep(delay)
     if marker_dir is not None:
-        count_file = os.path.join(marker_dir, f"{name}.count")
-        count = int(open(count_file).read()) if os.path.exists(count_file) else 0
-        with open(count_file, "w") as fh:
-            fh.write(str(count + 1))
+        with open(os.path.join(marker_dir, f"{name}.count"), "a") as fh:
+            fh.write("x")
     return {"value": value, "correct": True}
 
 
@@ -80,6 +82,15 @@ def store(tmp_path):
 
 
 @pytest.fixture
+def metrics_on():
+    was_enabled = _metrics.REGISTRY.enabled
+    _metrics.REGISTRY.enable()
+    yield
+    if not was_enabled:
+        _metrics.REGISTRY.disable()
+
+
+@pytest.fixture
 def mux(store):
     m = FairShareMultiplexer(store, jobs=2)
     yield m
@@ -107,15 +118,69 @@ def test_fair_share_interleaves_tenants(mux):
     assert first_four == {"alice", "bob"}, [s.name for s in spans]
 
 
-def test_jobs_within_tenant_run_oldest_first(mux):
+def test_jobs_within_tenant_run_oldest_first(mux, monkeypatch):
+    """Within a tenant, every task of the older job is dispatched before
+    any task of the newer one (finish order is up to the workers)."""
+    dispatched = []
+    real_submit = mux.pool.submit
+
+    def recording_submit(key, *args, **kwargs):
+        dispatched.append(key)
+        return real_submit(key, *args, **kwargs)
+
+    monkeypatch.setattr(mux.pool, "submit", recording_submit)
     first = mux.submit("alice", fanout("alice", 3))
     second = mux.submit("alice", shared(3))
     drive(mux)
     assert first.state == "done" and second.state == "done"
-    assert first.finished <= second.finished
+    owners = [key.split("/", 1)[0] for key in dispatched]
+    assert owners == [first.id] * 3 + [second.id] * 3, dispatched
 
 
 # -- quotas ------------------------------------------------------------------
+
+def test_task_spans_carry_bare_names_and_the_job(store, tmp_path):
+    """A task span is named after its task; the job id is an attribute."""
+    from repro.obs import tracing
+
+    sink = str(tmp_path / "spans.jsonl")
+    tracing.TRACER.reset()
+    tracing.TRACER.configure(enabled=True, path=sink)
+    mux = FairShareMultiplexer(store, jobs=1)
+    try:
+        job = mux.submit("alice", Campaign("c", (
+            TaskSpec("a", emit, kwargs={"value": 1}),
+            TaskSpec("b", emit, kwargs={"value": 2}),
+        )))
+        drive(mux)
+    finally:
+        mux.shutdown()
+        tracing.TRACER.configure(enabled=False)
+        tracing.TRACER.reset()
+    tasks = [s for s in tracing.read_trace_file(sink) if s["kind"] == "task"]
+    assert sorted(s["name"] for s in tasks) == ["a", "b"]
+    assert all(s["attrs"]["job"] == job.id for s in tasks)
+
+
+def test_stepped_multiplexer_feeds_the_live_status_line(store, metrics_on):
+    """The campaign gauges ``campaign status --follow`` reads come from
+    the multiplexer: a live job shows its total and its in-flight work."""
+    import re
+
+    from repro.obs.snapshot import MetricsSnapshot, live_status_line
+
+    mux = FairShareMultiplexer(store, jobs=1)
+    try:
+        mux.submit("alice", fanout("alice", 4, delay=0.5))
+        mux.step(wait=0.05)  # activate and dispatch
+        live = live_status_line(MetricsSnapshot.capture())
+    finally:
+        mux.shutdown()
+    after = live_status_line(MetricsSnapshot.capture())
+    assert re.search(r"\b\d+/4 done", live), live
+    assert re.search(r"in-flight [1-9]", live), live
+    assert "frontier 0  in-flight 0" in after, after
+
 
 def test_quota_rejects_excess_jobs(store):
     mux = FairShareMultiplexer(store, jobs=1, quota=TenantQuota(max_jobs=1))
@@ -167,7 +232,7 @@ def test_dedup_after_completion(mux, tmp_path):
     assert a.counts() == {"done": 3}
     assert b.counts() == {"cached": 3}
     # Three distinct specs, each executed exactly once across both tenants.
-    assert open(os.path.join(marker, "p.count")).read() == "3"
+    assert open(os.path.join(marker, "p.count")).read() == "xxx"
 
 
 def test_dedup_of_in_flight_work(mux):
@@ -316,9 +381,25 @@ def service(tmp_path):
 
 
 def test_service_runs_submission_to_done(service):
-    job = service.submit("alice", demo_request())
+    job, _ = service.submit("alice", demo_request())
     assert wait_for(lambda: service.job(job.id).terminal)
     assert service.job(job.id).state == "done"
+
+
+def test_service_progress_lines_carry_the_job_id(tmp_path):
+    lines = []
+    svc = CampaignService(
+        str(tmp_path / "store"), jobs=1, snapshot_interval=10.0,
+        progress=lines.append,
+    )
+    svc.start()
+    try:
+        job, _ = svc.submit("alice", demo_request(points=2))
+        assert wait_for(lambda: svc.job(job.id).terminal)
+    finally:
+        svc.stop()
+    assert job.id == "job-0001"
+    assert lines and all(line.startswith("job-0001: ") for line in lines), lines
 
 
 def test_service_rejects_unknown_campaign(service):
@@ -344,7 +425,7 @@ def test_service_maps_quota_to_429(tmp_path):
 
 
 def test_service_cancel_is_tenant_checked(service):
-    job = service.submit("alice", demo_request(points=6, delay=0.2))
+    job, _ = service.submit("alice", demo_request(points=6, delay=0.2))
     with pytest.raises(ContractError) as excinfo:
         service.cancel(job.id, "bob")
     assert excinfo.value.code == "wrong_tenant"
@@ -356,7 +437,7 @@ def test_service_cancel_is_tenant_checked(service):
 
 def test_disconnect_cancel_then_resubmit_resumes(service):
     """The ISSUE semantics: cancel mid-run, resubmit, resume from the store."""
-    job = service.submit("alice", demo_request(points=6, delay=0.2))
+    job, _ = service.submit("alice", demo_request(points=6, delay=0.2))
     # Wait until some work has completed, as a disconnecting watcher would.
     assert wait_for(
         lambda: service.job(job.id).counts().get("done", 0) >= 1
@@ -366,7 +447,7 @@ def test_disconnect_cancel_then_resubmit_resumes(service):
     cancelled = service.job(job.id)
     assert cancelled.state == "cancelled"
     assert cancelled.counts().get("pending", 0) > 0
-    resubmitted = service.submit("alice", demo_request(points=6, delay=0.2))
+    resubmitted, _ = service.submit("alice", demo_request(points=6, delay=0.2))
     assert wait_for(lambda: service.job(resubmitted.id).terminal)
     final = service.job(resubmitted.id)
     assert final.state == "done"
@@ -376,7 +457,7 @@ def test_disconnect_cancel_then_resubmit_resumes(service):
 def test_subscription_streams_job_events(service):
     sub = service.subscribe()
     try:
-        job = service.submit("alice", demo_request())
+        job, _ = service.submit("alice", demo_request())
         assert wait_for(lambda: service.job(job.id).terminal)
         seen_states = set()
         deadline = time.monotonic() + 10
@@ -399,7 +480,7 @@ def test_subscription_streams_job_events(service):
 
 
 def test_per_job_subscription_primed_with_terminal_state(service):
-    job = service.submit("alice", demo_request())
+    job, _ = service.submit("alice", demo_request())
     assert wait_for(lambda: service.job(job.id).terminal)
     sub = service.subscribe(job.id)  # attach *after* completion
     try:
@@ -433,7 +514,7 @@ def test_submission_to_an_idle_service_is_admitted_at_once(tmp_path, workers_por
     svc.start()
     try:
         time.sleep(0.5)  # let the scheduler settle into its idle wait
-        job = svc.submit("alice", demo_request(points=1))
+        job, _ = svc.submit("alice", demo_request(points=1))
         assert wait_for(lambda: svc.job(job.id).started > 0, timeout=5.0)
         assert svc.job(job.id).started - job.created < 0.1
     finally:
@@ -451,7 +532,7 @@ def test_per_job_subscription_races_a_finishing_job(tmp_path, monkeypatch):
 
     svc = CampaignService(str(tmp_path / "store"), jobs=1, snapshot_interval=10.0)
     try:
-        job = svc.submit("alice", demo_request(points=2))  # queued: no scheduler
+        job, _ = svc.submit("alice", demo_request(points=2))  # queued: no scheduler
         real_view = service_module.job_view
         racer = []
 
