@@ -125,22 +125,19 @@ def _pcount(model: str, n: int) -> int:
 
 def _machine(model: str, n: int, engine: Optional[str] = None):
     if model == "QSM":
-        return QSM(QSMParams(g=G), record_costs=True, engine=engine)
+        return QSM(QSMParams(g=G), engine=engine)
     if model == "s-QSM":
-        return SQSM(SQSMParams(g=G), record_costs=True, engine=engine)
+        return SQSM(SQSMParams(g=G), engine=engine)
     if model == "QSM(g,d)":
-        return QSMGD(QSMGDParams(g=G, d=D), record_costs=True, engine=engine)
+        return QSMGD(QSMGDParams(g=G, d=D), engine=engine)
     if model == "BSP":
-        return BSP(_pcount(model, n), BSPParams(g=BSP_G, L=BSP_L),
-                   record_costs=True, engine=engine)
+        return BSP(_pcount(model, n), BSPParams(g=BSP_G, L=BSP_L), engine=engine)
     if model == "PRAM":
-        return PRAM(PRAMParams(variant="CRCW", write_rule="arbitrary"),
-                    record_costs=True, engine=engine)
+        return PRAM(PRAMParams(variant="CRCW", write_rule="arbitrary"), engine=engine)
     if model == "MPC":
-        return MPC(_pcount(model, n), MPCParams(s=MPC_S),
-                   record_costs=True, engine=engine)
+        return MPC(_pcount(model, n), MPCParams(s=MPC_S), engine=engine)
     if model == "PEM":
-        return PEM(PEMParams(M=PEM_M, B=PEM_B), record_costs=True, engine=engine)
+        return PEM(PEMParams(M=PEM_M, B=PEM_B), engine=engine)
     raise ValueError(f"unknown model {model!r}")
 
 

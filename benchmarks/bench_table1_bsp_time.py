@@ -33,9 +33,9 @@ G, L = 2.0, 16.0
 
 
 def _run_cell_with_costs(problem: str, variant: str, n: int, p: int, g: float, L_: float):
-    """Run one cell on a cost-recording BSP; return (row, fractions)."""
+    """Run one cell on a BSP; return (row, dominant fractions)."""
     bound_entry = bounds_for(table="1c", problem=problem, variant=variant)[0]
-    b = BSP(p, BSPParams(g=g, L=L_), record_costs=True)
+    b = BSP(p, BSPParams(g=g, L=L_))
     if problem == "Parity":
         bits = gen_bits(n, seed=n + p)
         r = parity_bsp(b, bits)

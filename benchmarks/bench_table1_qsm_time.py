@@ -44,9 +44,9 @@ G = 8.0
 
 
 def _run_cell_with_costs(problem: str, variant: str, n: int, g: float):
-    """Run one cell on a cost-recording QSM; return (row, dominant fractions)."""
+    """Run one cell on a QSM; return (row, dominant fractions)."""
     bound_entry = bounds_for(table="1a", problem=problem, variant=variant)[0]
-    m = QSM(QSMParams(g=g), record_costs=True)
+    m = QSM(QSMParams(g=g))
     if problem == "Parity":
         bits = gen_bits(n, seed=n)
         r = parity_blocks(m, bits)
@@ -129,7 +129,7 @@ def lac_nproc_rows():
     for n in NS:
         h = max(1, n // 16)
         arr = gen_sparse_array(n, h, seed=n, exact=True)
-        m = QSM(QSMParams(g=G), record_costs=True)
+        m = QSM(QSMParams(g=G))
         r = lac_dart(m, arr, h=h, seed=n)
         rows.append(
             CellRow(
@@ -151,7 +151,7 @@ def concurrent_reads_rows():
     rows = []
     for n in NS:
         g = 8.0
-        m = QSM(QSMParams(g=g, unit_time_concurrent_reads=True), record_costs=True)
+        m = QSM(QSMParams(g=g, unit_time_concurrent_reads=True))
         bits = gen_bits(n, seed=n)
         r = parity_blocks(m, bits)
         rows.append(

@@ -40,10 +40,10 @@ G, L = 4.0, 16.0
 
 def _machine(model: str, p: int):
     if model == "QSM":
-        return QSM(QSMParams(g=G), record_costs=True)
+        return QSM(QSMParams(g=G))
     if model == "s-QSM":
-        return SQSM(SQSMParams(g=G), record_costs=True)
-    return BSP(p, BSPParams(g=G, L=L), record_costs=True)
+        return SQSM(SQSMParams(g=G))
+    return BSP(p, BSPParams(g=G, L=L))
 
 
 def _bound(model: str, problem: str, n: int, p: int) -> float:
@@ -54,7 +54,7 @@ def _bound(model: str, problem: str, n: int, p: int) -> float:
 
 
 def _run_cell_with_costs(model: str, problem: str, n: int, p: int):
-    """Run one rounds cell on a cost-recording machine; return (row, fractions)."""
+    """Run one rounds cell; return (row, dominant fractions)."""
     m = _machine(model, p)
     aud = RoundAuditor(m, n=n, p=p, constant=1.0)
     if problem == "Parity":

@@ -33,9 +33,9 @@ G = 4.0
 
 
 def _run_cell_with_costs(problem: str, variant: str, n: int, g: float):
-    """Run one cell on a cost-recording s-QSM; return (row, fractions)."""
+    """Run one cell on an s-QSM; return (row, dominant fractions)."""
     bound_entry = bounds_for(table="1b", problem=problem, variant=variant)[0]
-    m = SQSM(SQSMParams(g=g), record_costs=True)
+    m = SQSM(SQSMParams(g=g))
     if problem == "Parity":
         bits = gen_bits(n, seed=n)
         r = parity_tree(m, bits)

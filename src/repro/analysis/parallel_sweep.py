@@ -51,9 +51,9 @@ entry is rewritten.
 
 Cost provenance
 ---------------
-The Table 1 drivers run their machines with ``record_costs=True`` and put
-``dominant_terms`` (the cost-weighted dominant-term fractions of
-:func:`repro.obs.records.dominant_fractions`) into each outcome dict, so
+The Table 1 drivers put ``dominant_terms`` (the cost-weighted
+dominant-term fractions :func:`repro.obs.records.dominant_fractions` reads
+from each machine's phase history) into each outcome dict, so
 every stored point records *why* it cost what it did —
 ``SweepPoint.dominant_terms`` reads it back.  The fractions are plain
 ``{term: float}`` dicts and survive the JSON round trip unchanged.

@@ -1016,7 +1016,7 @@ class VectorPhase(Phase):
                 if not readers:
                     return CountQueue(ranges=[range(a, b) for a, b in intervals])
                 if all(not _covers(intervals, a) for a in readers):
-                    extra = {a: len(procs) for a, procs in readers.items()}
+                    extra = self._scalar_read_queue()
                     return CountQueue(
                         ranges=[range(a, b) for a, b in intervals], extra=extra
                     )
@@ -1032,10 +1032,23 @@ class VectorPhase(Phase):
                 proc if isinstance(proc, np.ndarray)  # a read_each column
                 else np.full(len(arr), proc, dtype=np.int64)
             )
-        for a, procs in readers.items():
-            k = len(procs)
-            addr_parts.append(np.full(k, a, dtype=np.int64))
-            proc_parts.append(np.fromiter(procs, dtype=np.int64, count=k))
+        if readers:
+            # One (cell, proc) pair per scalar reader entry: the int entries
+            # stand for themselves, a set expands to one pair per reader.
+            if self._read_shared:
+                cells: List[int] = []
+                readers_of: List[int] = []
+                for a, procs in readers.items():
+                    if type(procs) is set:
+                        cells.extend(repeat(a, len(procs)))
+                        readers_of.extend(procs)
+                    else:
+                        cells.append(a)
+                        readers_of.append(procs)
+            else:
+                cells, readers_of = list(readers), list(readers.values())
+            addr_parts.append(np.array(cells, dtype=np.int64))
+            proc_parts.append(np.array(readers_of, dtype=np.int64))
         addrs = np.concatenate(addr_parts) if len(addr_parts) > 1 else addr_parts[0]
         if _increasing(addrs):
             # Every cell read once (e.g. one columnar read over a range).
@@ -1074,11 +1087,13 @@ class VectorPhase(Phase):
             write_queue = self._dict_write_queue()
         from repro.core.phase import PhaseRecord
 
+        # The record takes the per-processor dicts over, as on the
+        # reference engine.
         return PhaseRecord(
             index=index,
-            reads_per_proc=dict(self._reads_per_proc),
-            writes_per_proc=dict(self._writes_per_proc),
-            ops_per_proc=dict(self._ops_per_proc),
+            reads_per_proc=self._reads_per_proc,
+            writes_per_proc=self._writes_per_proc,
+            ops_per_proc=self._ops_per_proc,
             read_queue=read_queue,
             write_queue=write_queue,
         )

@@ -47,7 +47,7 @@ from collections import Counter
 from itertools import repeat
 from operator import itemgetter
 from time import perf_counter
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.core.phase import PhaseRecord
 from repro.obs import metrics as _metrics
@@ -344,8 +344,12 @@ class Phase:
         # over all keys.
         self._write_lo: Any = float("inf")
         self._write_hi: int = -1
-        # addr -> set of distinct reading processors (Section 2.1 contention)
-        self._readers: Dict[int, set] = {}
+        # addr -> its distinct reading processors (Section 2.1 contention):
+        # the one reader's id, upgraded to a set of ids by a second distinct
+        # reader.  _read_shared is True once any cell holds a set; until
+        # then every read queue has length one.
+        self._readers: Dict[int, Union[int, set]] = {}
+        self._read_shared = False
         self._reads_per_proc: Dict[int, int] = {}
         self._writes_per_proc: Dict[int, int] = {}
         self._ops_per_proc: Dict[int, int] = {}
@@ -368,11 +372,14 @@ class Phase:
             )
         handle = ReadHandle(proc, addr)
         self._reads.append(handle)
-        readers = self._readers.get(addr)
-        if readers is None:
-            self._readers[addr] = {proc}
-        else:
-            readers.add(proc)
+        cell = self._readers.get(addr)
+        if cell is None:
+            self._readers[addr] = proc
+        elif type(cell) is set:
+            cell.add(proc)
+        elif cell != proc:
+            self._readers[addr] = {cell, proc}
+            self._read_shared = True
         self._reads_per_proc[proc] = self._reads_per_proc.get(proc, 0) + 1
         return handle
 
@@ -401,12 +408,12 @@ class Phase:
         ):
             return self._replay_reads(repeat(proc), addr_tuple, proc)
         readers = self._readers
-        for a in addr_tuple:
-            procs = readers.get(a)
-            if procs is None:
-                readers[a] = {proc}
-            else:
-                procs.add(proc)
+        if not readers or readers.keys().isdisjoint(addr_tuple):
+            # Every cell new to the phase: one C-level pass (a repeated
+            # address is the same reader again).
+            readers.update(zip(addr_tuple, repeat(proc)))
+        else:
+            self._add_readers(repeat(proc), addr_tuple)
         self._reads_per_proc[proc] = (
             self._reads_per_proc.get(proc, 0) + len(addr_tuple)
         )
@@ -441,16 +448,33 @@ class Phase:
         ) or (writes and not writes.keys().isdisjoint(addrs)):
             return self._replay_reads(procs, addrs)
         readers = self._readers
-        get = readers.get
-        for a, p in zip(addrs, procs):
-            cell = get(a)
-            if cell is None:
-                readers[a] = {p}
-            else:
-                cell.add(p)
+        if (not readers or readers.keys().isdisjoint(addrs)) and (
+            type(addrs) is range or len(set(addrs)) == len(addrs)
+        ):
+            # Distinct cells, all new to the phase: one C-level pass.
+            readers.update(zip(addrs, procs))
+        else:
+            self._add_readers(procs, addrs)
         _merge_tally(self._reads_per_proc, _tally(procs))
         self._reads.append(handle)
         return handle
+
+    def _add_readers(self, procs: Any, addrs: Sequence[int]) -> None:
+        """Per-pair reader insertion (the path for cells read before);
+        ``procs`` is a column, or ``repeat(proc)`` for a block."""
+        readers = self._readers
+        get = readers.get
+        shared = self._read_shared
+        for p, a in zip(procs, addrs):
+            cell = get(a)
+            if cell is None:
+                readers[a] = p
+            elif type(cell) is set:
+                cell.add(p)
+            elif cell != p:
+                readers[a] = {cell, p}
+                shared = True
+        self._read_shared = shared
 
     def _replay_reads(
         self, procs: Any, addrs: Sequence[int], proc: Optional[int] = None
@@ -726,13 +750,16 @@ class Phase:
     def _scalar_read_queue(self) -> Dict[int, int]:
         # Contention counts *distinct processors* per cell (Section 2.1):
         # duplicate requests by one processor count once toward kappa (they
-        # still count per-request toward the processor's m_rw).  When the
-        # total request count equals the number of touched cells, every
-        # queue has length one and the dict builds in a single C-level pass.
+        # still count per-request toward the processor's m_rw).  While no
+        # cell has a second reader, every queue has length one and the dict
+        # builds in a single C-level pass.
         readers = self._readers
-        if readers and sum(self._reads_per_proc.values()) == len(readers):
+        if not self._read_shared:
             return dict.fromkeys(readers, 1)
-        return {addr: len(procs) for addr, procs in readers.items()}
+        return {
+            addr: len(procs) if type(procs) is set else 1
+            for addr, procs in readers.items()
+        }
 
     def _dict_write_queue(self) -> Dict[int, int]:
         writes = self._writes
@@ -746,11 +773,13 @@ class Phase:
     def _build_record(self, index: int) -> PhaseRecord:
         read_queue = self._scalar_read_queue()
         write_queue = self._dict_write_queue()
+        # The record takes the per-processor dicts over: a committed phase
+        # never touches them again.
         return PhaseRecord(
             index=index,
-            reads_per_proc=dict(self._reads_per_proc),
-            writes_per_proc=dict(self._writes_per_proc),
-            ops_per_proc=dict(self._ops_per_proc),
+            reads_per_proc=self._reads_per_proc,
+            writes_per_proc=self._writes_per_proc,
+            ops_per_proc=self._ops_per_proc,
             read_queue=read_queue,
             write_queue=write_queue,
         )
@@ -933,16 +962,23 @@ class SharedMemoryMachine:
         """
         raise NotImplementedError
 
-    def _pick_winner(self, addr: int, entries: "Collided") -> int:
-        """Index of the surviving write among ``entries`` (>= 2 writers).
+    def _pick_winners(self, cells: List[Tuple[int, "Collided"]]) -> Iterator[int]:
+        """Indices of the surviving writes of the collided ``cells``, as
+        ``(addr, entries)`` pairs in the write dict's first-write order.
 
-        Routes through :attr:`winner_policy` when one is installed;
-        otherwise draws from the machine's own seeded generator, exactly
-        as every pre-policy run did.
+        Without a :attr:`winner_policy` every winner comes from one draw of
+        the machine's own seeded generator over all the cells' writer
+        counts — the same numbers, leaving the generator in the same state,
+        as one scalar ``integers(0, k)`` per cell in that order.  An
+        installed policy decides cell by cell, as the caller consumes the
+        iterator.
         """
         policy = self.winner_policy
         if policy is None:
-            return int(self._rng.integers(0, len(entries)))
+            return iter(self._rng.integers(0, [len(e) for _, e in cells]).tolist())
+        return (self._policy_choice(policy, addr, entries) for addr, entries in cells)
+
+    def _policy_choice(self, policy: Any, addr: int, entries: "Collided") -> int:
         choice = policy.choose(addr, entries, len(self.history))
         if not 0 <= choice < len(entries):
             raise ValueError(
@@ -972,21 +1008,25 @@ class SharedMemoryMachine:
 
     def _apply_arbitrary_writes(self, phase: Phase) -> None:
         """Apply a phase's writes under the arbitrary-winner rule (QSM,
-        s-QSM, PEM): a collided cell keeps the value :meth:`_pick_winner`
-        chooses, drawn in the write dict's first-write (issue) order; the
-        memory takes all cells in one bulk update."""
+        s-QSM, PEM, arbitrary-CRCW PRAM): a collided cell keeps the value
+        :meth:`_pick_winners` chooses for it, in the write dict's
+        first-write (issue) order; the memory takes all cells in one bulk
+        update."""
         if not phase._write_collision:
             self._apply_single_writes(phase)
             return
-        pick_winner = self._pick_winner
+        writes = phase._writes
+        winners = self._pick_winners(
+            [(addr, entry) for addr, entry in writes.items() if type(entry) is Collided]
+        )
         self._memory.update(
             (
                 addr,
-                entry[pick_winner(addr, entry)][1] if type(entry) is Collided
+                entry[next(winners)][1] if type(entry) is Collided
                 else entry[1] if type(entry) is tuple
                 else entry,
             )
-            for addr, entry in phase._writes.items()
+            for addr, entry in writes.items()
         )
 
     # -- public API ---------------------------------------------------------

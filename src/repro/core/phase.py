@@ -14,8 +14,9 @@ the cost functions in :mod:`repro.core.cost`, the round auditor in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Mapping, Tuple
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Dict, Mapping
 
 __all__ = ["PhaseRecord", "SuperstepRecord", "queue_max"]
 
@@ -62,19 +63,23 @@ class PhaseRecord:
     read_queue: Mapping[int, int]
     write_queue: Mapping[int, int]
 
-    @property
+    # The aggregates are computed on first use and kept on the instance
+    # (a record is immutable), so the cost formula, the cost terms and
+    # the dominance summaries all read one value per record.
+
+    @cached_property
     def m_op(self) -> int:
         """Maximum local computation by any processor (``max_i c_i``)."""
         return max(self.ops_per_proc.values(), default=0)
 
-    @property
+    @cached_property
     def m_rw(self) -> int:
         """``max(1, max_i r_i, max_i w_i)`` as defined for QSM phases."""
         max_r = max(self.reads_per_proc.values(), default=0)
         max_w = max(self.writes_per_proc.values(), default=0)
         return max(1, max_r, max_w)
 
-    @property
+    @cached_property
     def kappa(self) -> int:
         """Maximum contention: the most distinct processors at any one cell.
 
@@ -121,12 +126,12 @@ class SuperstepRecord:
     sent_per_proc: Mapping[int, int]
     received_per_proc: Mapping[int, int]
 
-    @property
+    @cached_property
     def w(self) -> int:
         """Maximum local work at any component."""
         return max(self.work_per_proc.values(), default=0)
 
-    @property
+    @cached_property
     def h(self) -> int:
         """The ``h``-relation routed: ``max_i max(s_i, r_i)``."""
         max_s = max(self.sent_per_proc.values(), default=0)

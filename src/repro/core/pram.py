@@ -131,10 +131,12 @@ class PRAM(SharedMemoryMachine):
             )
 
     def _resolve_writes(self, phase: Phase) -> None:
-        if not phase._write_collision:
-            self._apply_single_writes(phase)
-            return
         rule = self.params.write_rule
+        if rule == "arbitrary" or not phase._write_collision:
+            # Collisions only survive costing on the CRCW; the arbitrary
+            # rule is the QSM's, with the same pluggable arbitration.
+            self._apply_arbitrary_writes(phase)
+            return
         for addr, entry in phase._writes.items():
             kind = type(entry)
             if kind is not Collided:
@@ -149,11 +151,9 @@ class PRAM(SharedMemoryMachine):
                         f"COMMON CRCW writers disagree at cell {addr}: {values}"
                     )
                 self._memory[addr] = entries[0][1]
-            elif rule == "priority":
+            else:  # priority
                 winner = min(entries, key=lambda e: e[0])
                 self._memory[addr] = winner[1]
-            else:  # arbitrary — same pluggable arbitration as the QSM
-                self._memory[addr] = entries[self._pick_winner(addr, entries)][1]
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -10,7 +10,7 @@ The simulator rides the shared-memory phase substrate unchanged, so the
 vector engine, winner policies and memory fault plans all apply as-is.
 Semantics follow the CREW flavour with queued writes: concurrent reads
 of a cell all see the pre-phase value; among concurrent writers an
-*arbitrary* one succeeds, arbitrated through the same ``_pick_winner``
+*arbitrary* one succeeds, arbitrated through the same ``_pick_winners``
 choke point as the QSM family (so the adversarial winner search and the
 chaos harness reach PEM for free).
 
@@ -73,9 +73,8 @@ class PEM(SharedMemoryMachine):
         return pem_cost_terms(record, self.params)
 
     def _resolve_writes(self, phase: Phase) -> None:
-        # Same arbitrary-winner write rule as the QSM: collisions route
-        # every conflicted cell through the seeded/policy-driven
-        # _pick_winner.
+        # Same arbitrary-winner write rule as the QSM: collided cells take
+        # their winners from the seeded/policy-driven _pick_winners.
         self._apply_arbitrary_writes(phase)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.obs import tracing as _tracing
 
@@ -263,24 +263,40 @@ class RunCostSummary:
         return dominant_of(self.dominant_cost)
 
 
-def summarize(records: List[PhaseCostRecord]) -> RunCostSummary:
-    """Aggregate per-phase cost records into a :class:`RunCostSummary`."""
+def _dominance(phases: Iterable[Tuple[str, float, float]]) -> RunCostSummary:
+    """Fold ``(dominant term, cost, wall time)`` per phase, in phase order,
+    into a :class:`RunCostSummary`."""
     dominant_phases: Dict[str, int] = {}
     dominant_cost: Dict[str, float] = {}
+    count = 0
     total = 0.0
     wall = 0.0
-    for rec in records:
-        total += rec.cost
-        wall += rec.wall_time
-        dominant_phases[rec.dominant] = dominant_phases.get(rec.dominant, 0) + 1
-        dominant_cost[rec.dominant] = dominant_cost.get(rec.dominant, 0.0) + rec.cost
+    for dominant, cost, wall_time in phases:
+        count += 1
+        total += cost
+        wall += wall_time
+        dominant_phases[dominant] = dominant_phases.get(dominant, 0) + 1
+        dominant_cost[dominant] = dominant_cost.get(dominant, 0.0) + cost
     return RunCostSummary(
-        phases=len(records),
+        phases=count,
         total_cost=total,
         dominant_phases=dominant_phases,
         dominant_cost=dominant_cost,
         wall_time=wall,
     )
+
+
+def summarize(records: List[PhaseCostRecord]) -> RunCostSummary:
+    """Aggregate per-phase cost records into a :class:`RunCostSummary`."""
+    return _dominance((rec.dominant, rec.cost, rec.wall_time) for rec in records)
+
+
+def _charged_history(machine: Any) -> Iterable[Tuple[Any, float]]:
+    """``(accounting record, charge)`` per committed phase or superstep."""
+    from repro.core.bsp import BSP
+
+    costs = machine.step_costs if isinstance(machine, BSP) else machine.phase_costs
+    return zip(machine.history, costs)
 
 
 def machine_cost_records(machine: Any) -> List[PhaseCostRecord]:
@@ -303,21 +319,17 @@ def machine_cost_records(machine: Any) -> List[PhaseCostRecord]:
         faults_by_step.setdefault(event.step, []).append(event.to_dict())
 
     rebuilt: List[PhaseCostRecord] = []
-    if isinstance(machine, BSP):
-        for rec, cost in zip(machine.history, machine.step_costs):
-            rebuilt.append(
-                build_superstep_cost_record(
-                    rec.index, machine._cost_terms(rec), cost, rec,
-                    faults=tuple(faults_by_step.get(rec.index, ())),
-                    model=machine.model_label,
-                )
-            )
-        return rebuilt
-    for rec, cost in zip(machine.history, machine.phase_costs):
+    bsp = isinstance(machine, BSP)
+    for rec, cost in _charged_history(machine):
+        faults = tuple(faults_by_step.get(rec.index, ()))
+        terms = machine._cost_terms(rec)
         rebuilt.append(
-            build_phase_cost_record(
-                rec.index, machine.model_label, machine._cost_terms(rec), cost, rec,
-                faults=tuple(faults_by_step.get(rec.index, ())),
+            build_superstep_cost_record(
+                rec.index, terms, cost, rec, faults=faults, model=machine.model_label
+            )
+            if bsp
+            else build_phase_cost_record(
+                rec.index, machine.model_label, terms, cost, rec, faults=faults
             )
         )
     return rebuilt
@@ -331,12 +343,22 @@ def dominant_fractions(machine_or_records: Any, digits: Optional[int] = 4) -> Di
     came from contention-bound phases.  ``digits`` rounds the fractions so
     they serialize stably into stored outcomes (pass ``None`` to keep
     full precision).
+
+    A machine is read from its history: each phase's dominant term from
+    ``machine._cost_terms(record)`` and its charge, with no
+    :class:`PhaseCostRecord` assembled, so it needs no ``record_costs=True``
+    and gives the same keys, order and floats as its live or rebuilt
+    records.
     """
     if isinstance(machine_or_records, list):
-        records = machine_or_records
+        summary = summarize(machine_or_records)
     else:
-        records = machine_cost_records(machine_or_records)
-    fractions = summarize(records).fractions
+        cost_terms = machine_or_records._cost_terms
+        summary = _dominance(
+            (dominant_of(cost_terms(rec)), float(cost), 0.0)
+            for rec, cost in _charged_history(machine_or_records)
+        )
+    fractions = summary.fractions
     if digits is None:
         return fractions
     return {term: round(value, digits) for term, value in fractions.items()}

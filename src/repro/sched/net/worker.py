@@ -244,6 +244,10 @@ def run_forked_worker(sock: socket.socket) -> None:
         serve(sock, transport="pipe")
     except (FrameError, OSError):
         pass  # the pool closed its end or died: nothing left to serve
+    except KeyboardInterrupt:
+        # Ctrl-C reaches the whole process group; the scheduler handles it
+        # and shuts the pool down, so the worker just leaves, quietly.
+        pass
     finally:
         sock.close()
 

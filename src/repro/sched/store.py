@@ -26,6 +26,7 @@ everything).
 
 from __future__ import annotations
 
+import errno
 import functools
 import hashlib
 import json
@@ -111,6 +112,15 @@ class StoreStats:
     entries: int
     bytes: int
     quarantined: int
+
+
+def _shard_listing(shard_dir: str) -> List[str]:
+    """The names in one shard directory; none when it is not a directory
+    (a stray file) or no longer exists (a concurrent prune removed it)."""
+    try:
+        return os.listdir(shard_dir)
+    except (FileNotFoundError, NotADirectoryError):
+        return []
 
 
 class ResultStore:
@@ -259,10 +269,7 @@ class ResultStore:
         if not os.path.isdir(objects):
             return
         for shard in sorted(os.listdir(objects)):
-            shard_dir = os.path.join(objects, shard)
-            if not os.path.isdir(shard_dir):
-                continue
-            for name in sorted(os.listdir(shard_dir)):
+            for name in sorted(_shard_listing(os.path.join(objects, shard))):
                 if name.endswith(".json"):
                     yield name[: -len(".json")]
 
@@ -324,15 +331,20 @@ class ResultStore:
             if os.path.isdir(objects):
                 for shard in os.listdir(objects):
                     shard_dir = os.path.join(objects, shard)
-                    if not os.path.isdir(shard_dir):
-                        continue
-                    for name in os.listdir(shard_dir):
+                    for name in _shard_listing(shard_dir):
                         if name.endswith(".quarantined"):
                             try:
                                 os.unlink(os.path.join(shard_dir, name))
                             except OSError:  # pragma: no cover
                                 pass
-                    if not os.listdir(shard_dir):
+                    # Remove the shard if it is empty now; a concurrent put
+                    # may have just landed in it, or another prune removed it.
+                    try:
                         os.rmdir(shard_dir)
+                    except OSError as exc:
+                        if exc.errno not in (
+                            errno.ENOTEMPTY, errno.EEXIST, errno.ENOENT, errno.ENOTDIR
+                        ):
+                            raise
         return pruned
 

@@ -266,6 +266,30 @@ class TestContentionAccounting:
         # max(m_op, g*m_rw, g*kappa) = max(0, 6, 12), not 24.
         assert m.phase_costs == [12.0]
 
+    @pytest.mark.parametrize("engine", ["reference", "vector"])
+    @pytest.mark.parametrize("steps", [1, 2, 3])
+    def test_single_reader_entry_upgrades_on_a_second_reader(self, engine, steps):
+        # A read cell holds its one reader until a second distinct one
+        # arrives: p via read_each (queue 1), p again via read (still 1),
+        # then q via read_block (2).  The cell is read-locked throughout.
+        reads = [
+            lambda ph: ph.read_each([0, 1], [5, 6]),
+            lambda ph: ph.read(0, 5),
+            lambda ph: ph.read_block(2, [5, 7]),
+        ]
+        m = QSM(QSMParams(g=1), engine=engine)
+        m.load(list(range(8)))
+        with m.phase() as ph:
+            for read in reads[:steps]:
+                read(ph)
+                with pytest.raises(MemoryConflictError):
+                    ph.write(3, 5, "x")
+        rec = m.history[0]
+        assert rec.read_queue[5] == [1, 1, 2][steps - 1]
+        assert rec.kappa == [1, 1, 2][steps - 1]
+        assert rec.reads_per_proc[0] == [1, 2, 2][steps - 1]
+        assert m.peek(5) == 5
+
     def test_kappa_regression_gsm_big_steps(self):
         m = GSM(GSMParams(alpha=2, beta=2))
         m.load_packed([5])

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import PRAM, QSM, SQSM, PRAMParams
+from repro.models import PEM, PEMParams
 from repro.faults.winners import (
     WINNER_POLICY_NAMES,
     FirstWriterWins,
@@ -19,6 +20,19 @@ def collide(machine, values, addr=0):
         for proc, value in enumerate(values):
             ph.write(proc, addr, value)
     return machine.peek(addr)
+
+
+def many_collisions(machine, phases, cells):
+    """``phases`` phases; in each, cell ``c`` of a fresh block of ``cells``
+    gets 1 to 9 writers, one processor per write."""
+    for phase in range(phases):
+        procs, addrs = [], []
+        for c in range(cells):
+            for _ in range(1 + (7 * c + phase) % 9):
+                procs.append(len(procs))
+                addrs.append(phase * cells + c)
+        with machine.phase() as ph:
+            ph.write_each(procs, addrs, [1000 * phase + p for p in procs])
 
 
 class TestPolicies:
@@ -40,6 +54,31 @@ class TestPolicies:
                 list(range(100, 108)),
             )
             assert default == policied
+
+    @pytest.mark.parametrize("engine", ["reference", "vector"])
+    @pytest.mark.parametrize(
+        "factory",
+        [
+            QSM,
+            SQSM,
+            lambda **kw: PRAM(PRAMParams(variant="CRCW", write_rule="arbitrary"), **kw),
+            lambda **kw: PEM(PEMParams(M=8, B=2), **kw),
+        ],
+        ids=["qsm", "sqsm", "crcw-pram", "pem"],
+    )
+    def test_seeded_policy_matches_batched_machine_default(self, factory, engine):
+        # Many collided cells per phase, with 1 to 9 writers each: the
+        # policy-free machine draws a phase's winners in one batch, the
+        # policy cell by cell, and every cell must get the same winner.
+        for seed in (0, 7, 123):
+            default = factory(seed=seed, engine=engine)
+            policied = factory(
+                seed=seed, winner_policy=SeededWinners(seed), engine=engine
+            )
+            for m in (default, policied):
+                many_collisions(m, phases=4, cells=40)
+            cells = range(4 * 40)
+            assert [default.peek(a) for a in cells] == [policied.peek(a) for a in cells]
 
     def test_seeded_reset_replays_the_stream(self):
         policy = SeededWinners(3)

@@ -5,13 +5,18 @@ import pytest
 from repro.core import (
     BSP,
     GSM,
+    PRAM,
     QSM,
+    QSMGD,
     SQSM,
     BSPParams,
     GSMParams,
+    PRAMParams,
+    QSMGDParams,
     QSMParams,
     SQSMParams,
 )
+from repro.models import MPC, PEM, MPCParams, PEMParams
 from repro.obs import (
     PhaseCostRecord,
     RunCostSummary,
@@ -216,3 +221,86 @@ class TestSummaries:
 
     def test_dominant_fractions_accepts_record_list(self):
         assert dominant_fractions(self.records()) == {"kappa": 0.6, "m_op": 0.4}
+
+
+def _shared_memory_program(m):
+    """Phases won by contention, local work, bandwidth and collisions."""
+    m.load(list(range(16)))
+    with m.phase() as ph:
+        ph.read_each(range(6), [0] * 6)
+    with m.phase() as ph:
+        ph.local(0, 40)
+        ph.write(1, 20, 5)
+    with m.phase() as ph:
+        ph.read_block(0, range(8))
+    with m.phase() as ph:
+        ph.write_each(range(5), [30, 30, 30, 31, 31], [1, 2, 3, 4, 5])
+
+
+def _pram_program(m):
+    """CRCW steps: concurrent reads, collided writes, an idle step."""
+    m.load(list(range(8)))
+    with m.phase() as ph:
+        ph.read_each(range(6), [0, 0, 0, 1, 1, 2])
+    with m.phase() as ph:
+        ph.write_each(range(4), [10, 10, 11, 11], [1, 2, 3, 4])
+    with m.phase():
+        pass
+
+
+def _bsp_program(b):
+    """Supersteps won by local work, an h-relation and the latency floor."""
+    with b.superstep() as ss:
+        ss.local(0, 500)
+    with b.superstep() as ss:
+        for src in range(4):
+            ss.send_cols(src, [0] * 6, list(range(6)))
+    with b.superstep() as ss:
+        ss.send(1, 2, "x")
+
+
+DOMINANCE_MODELS = [
+    pytest.param(lambda rc: QSM(QSMParams(g=2.0), record_costs=rc),
+                 _shared_memory_program, id="qsm"),
+    pytest.param(lambda rc: SQSM(SQSMParams(g=2.0), record_costs=rc),
+                 _shared_memory_program, id="sqsm"),
+    pytest.param(lambda rc: QSMGD(QSMGDParams(g=2.0, d=3.0), record_costs=rc),
+                 _shared_memory_program, id="qsm-gd"),
+    pytest.param(lambda rc: GSM(GSMParams(alpha=2.0, beta=2.0), record_costs=rc),
+                 _shared_memory_program, id="gsm"),
+    pytest.param(lambda rc: PEM(PEMParams(M=8, B=2), record_costs=rc),
+                 _shared_memory_program, id="pem"),
+    pytest.param(
+        lambda rc: PRAM(PRAMParams(variant="CRCW", write_rule="arbitrary"),
+                        record_costs=rc),
+        _pram_program, id="pram",
+    ),
+    pytest.param(lambda rc: BSP(4, BSPParams(g=2.0, L=8.0), record_costs=rc),
+                 _bsp_program, id="bsp"),
+    pytest.param(lambda rc: MPC(4, MPCParams(s=2.0), record_costs=rc),
+                 _bsp_program, id="mpc"),
+]
+
+
+class TestDominantFractionsPaths:
+    """A machine's history, its live records and its rebuilt records give
+    the same fractions: same keys, same order, same floats."""
+
+    @pytest.mark.parametrize("engine", ["reference", "vector"])
+    @pytest.mark.parametrize("factory, program", DOMINANCE_MODELS)
+    def test_history_live_and_rebuilt_agree(self, factory, program, engine, monkeypatch):
+        monkeypatch.setenv("REPRO_ENGINE", engine)
+        live, plain = factory(True), factory(False)
+        program(live)
+        program(plain)
+        assert plain.cost_records == []
+        for digits in (None, 4):
+            from_history = dominant_fractions(plain, digits=digits)
+            paths = [
+                dominant_fractions(live, digits=digits),
+                dominant_fractions(live.cost_records, digits=digits),
+                dominant_fractions(machine_cost_records(plain), digits=digits),
+            ]
+            assert len(from_history) >= 1
+            for other in paths:
+                assert list(other.items()) == list(from_history.items())

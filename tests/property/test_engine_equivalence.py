@@ -122,6 +122,9 @@ def _replay_superstep(bsp, program):
 
 write_phases = st.lists(_write_ops(), min_size=0, max_size=8)
 read_phases = st.lists(_read_ops(), min_size=0, max_size=8)
+# Reads crowding onto four cells, so a cell's single-reader entry meets a
+# second reader (scalar, block or columnar) later in the same phase.
+crowded_read_phases = st.lists(_read_ops(addrs=st.integers(0, 3)), min_size=2, max_size=10)
 
 MACHINES = [
     pytest.param(
@@ -211,6 +214,13 @@ class TestSharedMemoryBitEquality:
         # (and its error messages) is exercised, not just clean programs.
         _run_both(make, writes + reads, reads + writes)
 
+    @pytest.mark.parametrize("make", MACHINES)
+    @given(writes=write_phases, reads=crowded_read_phases)
+    @settings(max_examples=25, deadline=None)
+    def test_engines_identical_on_crowded_reads(self, make, writes, reads):
+        # Single-reader entries and reader sets mixed on the same cells.
+        _run_both(make, writes, reads)
+
     @pytest.mark.parametrize(
         "policy",
         [FirstWriterWins(), LastWriterWins(), SeededWinners(99)],
@@ -235,7 +245,7 @@ class TestSharedMemoryBitEquality:
     @given(writes=write_phases)
     @settings(max_examples=15, deadline=None)
     def test_pem_winner_policies_replay_identically(self, policy, writes):
-        # PEM routes collisions through the same _pick_winner choke point
+        # PEM routes collisions through the same _pick_winners choke point
         # as the QSM family; the draws must be engine-independent there too.
         make = lambda eng: PEM(
             PEMParams(M=16, B=4), seed=11, winner_policy=policy, engine=eng

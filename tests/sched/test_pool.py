@@ -101,6 +101,22 @@ class TestBasics:
         assert MAX_TASKS_PER_WORKER >= 64
 
 
+    def test_idle_worker_leaves_quietly_on_sigint(self, capfd):
+        # Ctrl-C on a campaign reaches every forked worker of the process
+        # group; the scheduler reports the interrupt, the workers must not.
+        import signal
+
+        with WorkerPool(jobs=1) as pool:
+            pool.submit("a", add, {"a": 1, "b": 1})
+            assert drain(pool, 1)["a"].ok  # the worker is up and idle
+            proc = pool._local[0].proc
+            os.kill(proc.pid, signal.SIGINT)
+            proc.join(timeout=10)
+            assert proc.exitcode == 0
+        err = capfd.readouterr().err
+        assert "Traceback" not in err and "KeyboardInterrupt" not in err
+
+
 class TestWarmReuse:
     def test_one_worker_serves_many_tasks(self):
         with WorkerPool(jobs=1) as pool:

@@ -256,6 +256,54 @@ class TestConcurrentWriters:
         assert raced["count"] == 1
         assert store.get_outcome(key)["measured"] == 64.0
 
+    def test_prune_keeps_a_shard_a_put_lands_in_before_its_rmdir(
+        self, tmp_path, monkeypatch
+    ):
+        store = ResultStore(str(tmp_path / "store"))
+        key = store.key_for(point_fn, {"n": 3})
+        store.put(key, {"measured": 12.0, "correct": True})
+        real_rmdir = os.rmdir
+        raced = {"done": False}
+
+        def racing_rmdir(path, *args, **kwargs):
+            if not raced["done"]:
+                raced["done"] = True
+                # A concurrent put() lands in the shard prune just emptied.
+                store.put(key, {"measured": 12.0, "correct": True})
+            return real_rmdir(path, *args, **kwargs)
+
+        monkeypatch.setattr("repro.sched.store.os.rmdir", racing_rmdir)
+        assert store.prune(older_than_s=0) == [key]
+        assert raced["done"]
+        assert store.get_outcome(key)["measured"] == 12.0
+
+    @pytest.mark.parametrize("listing", [1, 2], ids=["key-scan", "shard-sweep"])
+    def test_prune_skips_a_shard_another_prune_removed(
+        self, tmp_path, monkeypatch, listing
+    ):
+        # The other prune removes the shard just before this prune lists it:
+        # on the key scan (it took the entry too) or on the empty-shard sweep.
+        import shutil
+
+        store = ResultStore(str(tmp_path / "store"))
+        key = store.key_for(point_fn, {"n": 5})
+        store.put(key, {"measured": 20.0, "correct": True})
+        shard = os.path.dirname(store.path_for(key))
+        real_listdir = os.listdir
+        seen = {"n": 0}
+
+        def racing_listdir(path="."):
+            if path == shard:
+                seen["n"] += 1
+                if seen["n"] == listing:
+                    shutil.rmtree(shard)
+            return real_listdir(path)
+
+        monkeypatch.setattr("repro.sched.store.os.listdir", racing_listdir)
+        assert store.prune(older_than_s=0) == ([] if listing == 1 else [key])
+        assert seen["n"] == listing
+        assert not os.path.exists(shard)
+
     def test_concurrent_put_and_prune_stress(self, tmp_path):
         import threading
 
