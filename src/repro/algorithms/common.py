@@ -4,6 +4,8 @@
   simulated cost delta it incurred on its machine.
 * :class:`Allocator` — a bump allocator over the machine's address space so
   algorithms can lay out inputs and scratch arrays without clashing.
+* :func:`check_bits` — the 0/1 input validation of the parity and OR
+  algorithms.
 * Fan-in selection helpers — the Section 8 algorithms pick tree fan-ins as a
   function of the machine's parameters (``g`` on the QSM, 2 on the s-QSM,
   ``L/g`` on the BSP); centralising the choice makes the fan-in ablation
@@ -13,7 +15,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional, Union
+from typing import Any, List, Optional, Sequence, Union
 
 from repro.core.bsp import BSP
 from repro.core.gsm import GSM
@@ -29,6 +31,7 @@ __all__ = [
     "mpc_fanin",
     "model_name",
     "CostMeter",
+    "check_bits",
 ]
 
 Machine = Union[QSM, SQSM, GSM, BSP]
@@ -99,6 +102,29 @@ class Allocator:
     def watermark(self) -> int:
         """One past the highest address handed out."""
         return self._next
+
+
+_BITS = frozenset((0, 1))
+
+
+def check_bits(bits: Sequence[int], problem: str) -> List[int]:
+    """``bits`` as a new list of int bits.
+
+    Raises ``ValueError`` naming ``problem`` at the first element that is
+    not 0 or 1 (by ``==``, so ``True`` and ``1.0`` pass as 1), or on an
+    empty input.  A list of ``int`` 0s and 1s is checked in one aggregate
+    pass; anything else takes the per-element loop.
+    """
+    if type(bits) is list and set(map(type, bits)) == {int} and _BITS.issuperset(bits):
+        return bits.copy()
+    out = []
+    for b in bits:
+        if b not in (0, 1):
+            raise ValueError(f"{problem} input must be 0/1 bits, got {b!r}")
+        out.append(int(b))
+    if not out:
+        raise ValueError(f"{problem} of an empty input is undefined here; pass >= 1 bit")
+    return out
 
 
 def fresh_allocator(machine: Machine) -> Allocator:

@@ -28,7 +28,14 @@ from __future__ import annotations
 import math
 from typing import List, Optional, Sequence, Union
 
-from repro.algorithms.common import Allocator, CostMeter, RunResult, bsp_fanin, fresh_allocator
+from repro.algorithms.common import (
+    Allocator,
+    CostMeter,
+    RunResult,
+    bsp_fanin,
+    check_bits,
+    fresh_allocator,
+)
 from repro.core.bsp import BSP
 from repro.core.gsm import GSM
 from repro.core.qsm import QSM
@@ -38,17 +45,6 @@ from repro.util.seeding import RngLike, derive_rng
 __all__ = ["or_tree_writes", "or_sparse_random", "or_bsp", "or_rounds"]
 
 SharedMachine = Union[QSM, SQSM, GSM]
-
-
-def _check_bits(bits: Sequence[int]) -> List[int]:
-    out = []
-    for b in bits:
-        if b not in (0, 1):
-            raise ValueError(f"OR input must be 0/1 bits, got {b!r}")
-        out.append(int(b))
-    if not out:
-        raise ValueError("OR of an empty input is undefined here; pass >= 1 bit")
-    return out
 
 
 def _default_or_fanin(machine: SharedMachine, n: int) -> int:
@@ -87,7 +83,7 @@ def or_tree_writes(
     processor per parent reads its cell (read phase, contention 1) to learn
     the next level's value.  ``ceil(log_k n)`` levels.
     """
-    values = _check_bits(bits)
+    values = check_bits(bits, "OR")
     n = len(values)
     k = fan_in if fan_in is not None else _default_or_fanin(machine, n)
     if k < 2:
@@ -159,7 +155,7 @@ def or_sparse_random(
             "or_sparse_random models the concurrent-read variant; construct the "
             "QSM with QSMParams(unit_time_concurrent_reads=True)"
         )
-    values = _check_bits(bits)
+    values = check_bits(bits, "OR")
     n = len(values)
     rng = derive_rng(seed)
     loglog = max(1.0, math.log2(max(2.0, math.log2(max(2, n)))))
@@ -216,7 +212,7 @@ def or_sparse_random(
 
 def or_bsp(machine: BSP, bits: Sequence[int]) -> RunResult:
     """BSP OR: local OR then (L/g)-ary reduction to component 0."""
-    values = _check_bits(bits)
+    values = check_bits(bits, "OR")
     meter = CostMeter(machine)
     p = machine.p
     machine.scatter(values, key="or_in")
@@ -262,7 +258,7 @@ def or_rounds(
     (contention is charged raw, budget ``g n / p``), ``n/p`` on the s-QSM
     and GSM.  Round counts match the Theta entries of Table 1d.
     """
-    values = _check_bits(bits)
+    values = check_bits(bits, "OR")
     n = len(values)
     if p < 1 or p > n:
         raise ValueError(f"need 1 <= p <= n, got p={p}, n={n}")

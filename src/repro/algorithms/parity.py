@@ -37,7 +37,14 @@ from itertools import compress, repeat
 from operator import add, ne, xor
 from typing import List, Optional, Sequence, Tuple, Union
 
-from repro.algorithms.common import Allocator, CostMeter, RunResult, bsp_fanin, fresh_allocator
+from repro.algorithms.common import (
+    Allocator,
+    CostMeter,
+    RunResult,
+    bsp_fanin,
+    check_bits,
+    fresh_allocator,
+)
 from repro.core.bsp import BSP
 from repro.core.gsm import GSM
 from repro.core.qsm import QSM
@@ -46,17 +53,6 @@ from repro.core.sqsm import SQSM
 __all__ = ["parity_tree", "parity_blocks", "parity_bsp", "parity_rounds"]
 
 SharedMachine = Union[QSM, SQSM, GSM]
-
-
-def _check_bits(bits: Sequence[int]) -> List[int]:
-    out = []
-    for b in bits:
-        if b not in (0, 1):
-            raise ValueError(f"parity input must be 0/1 bits, got {b!r}")
-        out.append(int(b))
-    if not out:
-        raise ValueError("parity of an empty input is undefined here; pass >= 1 bit")
-    return out
 
 
 def _unwrap(machine: SharedMachine, value):
@@ -93,7 +89,7 @@ def parity_tree(
     Cost ``O(g k log_k n)`` on QSM/s-QSM; ``O(mu * log_alpha n)`` on the GSM
     with the default fan-in alpha.
     """
-    values = _check_bits(bits)
+    values = check_bits(bits, "parity")
     k = _default_fanin(machine, fan_in)
     alloc = alloc or fresh_allocator(machine)
     meter = CostMeter(machine)
@@ -162,7 +158,7 @@ def parity_blocks(
     """
     if not isinstance(machine, QSM) or isinstance(machine, SQSM):
         raise TypeError("parity_blocks targets the QSM; use parity_tree elsewhere")
-    values = _check_bits(bits)
+    values = check_bits(bits, "parity")
     b = block_size if block_size is not None else _block_size(machine)
     if b < 2:
         raise ValueError(f"block size must be >= 2, got {b}")
@@ -182,7 +178,7 @@ def parity_blocks(
         # Block j holds bits j*b .. j*b + w_j - 1.  Its patterns q < 2^w_j
         # are numbered k = j*2^b + q — consecutive, as only the last block
         # can be narrower — and pattern k's flag is cell flag_base + k.
-        widths = [min(b, size - j * b) for j in range(groups)]
+        widths = [b] * (groups - 1) + [size - (groups - 1) * b]
         patterns = ((groups - 1) << b) + (1 << widths[-1])
         tiles = {w: _block_tiles(w) for w in set(widths)}
 
@@ -246,7 +242,7 @@ def parity_bsp(machine: BSP, bits: Sequence[int]) -> RunResult:
     Cost ``O(n/p)`` local work in the first superstep plus
     ``ceil(log p / log(L/g + 1))`` combine supersteps of cost ``L`` each.
     """
-    values = _check_bits(bits)
+    values = check_bits(bits, "parity")
     meter = CostMeter(machine)
     p = machine.p
     machine.scatter(values, key="parity_in")
@@ -293,7 +289,7 @@ def parity_rounds(
     phase fits the ``O(g n/p)`` round budget, and the round count is
     ``O(1 + log p / log(n/p)) = O(log n / log(n/p))``.
     """
-    values = _check_bits(bits)
+    values = check_bits(bits, "parity")
     n = len(values)
     if p < 1 or p > n:
         raise ValueError(f"need 1 <= p <= n, got p={p}, n={n}")

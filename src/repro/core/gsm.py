@@ -78,7 +78,7 @@ class GSM(SharedMemoryMachine):
         # GSM always walks entries individually (no last-value bulk path).
         memory = self._memory
         memory_get = memory.get
-        for addr, entry in phase._writes.items():
+        for addr, entry in phase._write_entries().items():
             existing = memory_get(addr, ())
             if not isinstance(existing, tuple):
                 existing = (existing,)

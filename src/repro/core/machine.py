@@ -31,6 +31,15 @@ every processor, issuing reads, writes and local-op charges through a
   The loop is the specification, errors included: when any aggregate
   check fails, the call is replayed through the scalar loop on a cold
   path, so the same exception is raised at the same pair.
+* **Counted columns** — a columnar read or write whose processors are all
+  distinct, on cells new to the phase, has one queue per cell of exactly
+  its count in the address column.  The phase keeps such a column and its
+  ``Counter`` instead of per-cell reader sets and writer lists, and
+  rebuilds those entries from the kept column only when something needs
+  them (a later op on one of its cells, a winner policy, a trace, the GSM
+  or PRAM write rules).  Writes are counted only when every value is one
+  common ``int`` and the machine's commit lands them without entries
+  (:meth:`SharedMemoryMachine._can_count_writes`).
 * **Write resolution** — model-specific: the QSM/s-QSM pick one arbitrary
   winner per cell; the GSM's strong queuing merges all written values into
   the cell (see subclasses).
@@ -87,7 +96,10 @@ class Collided(list):
 #                          is recorded once per block in
 #                          ``Phase._block_origins`` and only looked up on
 #                          the rare paths that need it (collision promotion,
-#                          trace recording).
+#                          trace recording).  A counted column's cells also
+#                          hold its bare common value, for any number of
+#                          writers, until ``Phase._write_entries`` expands
+#                          them.
 #
 # The bare-value form is what makes ``write_block`` allocation-free per
 # cell; tuple-like values automatically take the explicit ``(proc, value)``
@@ -254,6 +266,7 @@ def _check_columns(op: str, *cols: Sequence[Any]) -> None:
 
 
 _INT_ONLY = {int}
+_BOOL_ONLY = {bool}
 
 
 def _all_ids(ids: Sequence[Any], limit: Optional[int]) -> bool:
@@ -273,6 +286,21 @@ def _tally(procs: Sequence[int]) -> Dict[int, int]:
     """``Counter(procs)`` (first-appearance order); a range of processors,
     one request each, needs no counting."""
     return dict.fromkeys(procs, 1) if type(procs) is range else Counter(procs)
+
+
+def _common_int(values: Sequence[Any]) -> bool:
+    """Whether the non-empty ``values`` are one value, exactly: all of type
+    ``int`` (or all ``bool``) and equal.  Floats never pass (``0.0 ==
+    -0.0``, NaN), nor ``1`` beside ``True``: whichever writer wins must
+    store an indistinguishable value."""
+    kinds = set(map(type, values))
+    return (kinds == _INT_ONLY or kinds == _BOOL_ONLY) and min(values) == max(values)
+
+
+def _touches(counted: List[Tuple[Any, ...]], addrs: Sequence[int]) -> bool:
+    """Whether ``addrs`` meets a cell of one of the ``counted`` columns
+    (each column's ``Counter`` is its last element)."""
+    return any(not col[-1].keys().isdisjoint(addrs) for col in counted)
 
 
 def _merge_tally(counts: Dict[int, int], tally: Dict[int, int]) -> None:
@@ -350,6 +378,13 @@ class Phase:
         # then every read queue has length one.
         self._readers: Dict[int, Union[int, set]] = {}
         self._read_shared = False
+        # Counted columns, issue order: (procs, addrs, counts) per read
+        # column and (procs, addrs, value, counts) per write column.  Their
+        # cells' _readers entries hold placeholders and their _writes
+        # entries the bare common value, until _expand_reads /
+        # _write_entries rebuilds the per-cell entries from the columns.
+        self._counted_reads: List[Tuple[Any, ...]] = []
+        self._counted_writes: List[Tuple[Any, ...]] = []
         self._reads_per_proc: Dict[int, int] = {}
         self._writes_per_proc: Dict[int, int] = {}
         self._ops_per_proc: Dict[int, int] = {}
@@ -373,6 +408,11 @@ class Phase:
         handle = ReadHandle(proc, addr)
         self._reads.append(handle)
         cell = self._readers.get(addr)
+        if cell is not None and self._counted_reads and _touches(
+            self._counted_reads, (addr,)
+        ):
+            self._expand_reads()
+            cell = self._readers[addr]
         if cell is None:
             self._readers[addr] = proc
         elif type(cell) is set:
@@ -448,20 +488,29 @@ class Phase:
         ) or (writes and not writes.keys().isdisjoint(addrs)):
             return self._replay_reads(procs, addrs)
         readers = self._readers
-        if (not readers or readers.keys().isdisjoint(addrs)) and (
-            type(addrs) is range or len(set(addrs)) == len(addrs)
-        ):
+        tally = _tally(procs)
+        if readers and not readers.keys().isdisjoint(addrs):
+            self._add_readers(procs, addrs)
+        elif type(addrs) is range or len(set(addrs)) == len(addrs):
             # Distinct cells, all new to the phase: one C-level pass.
             readers.update(zip(addrs, procs))
+        elif len(tally) == len(procs):
+            # Distinct processors on cells new to the phase: a cell's
+            # queue is its count in the column (a counted column).
+            counts = Counter(addrs)
+            readers.update(counts)
+            self._counted_reads.append((procs, addrs, counts))
         else:
             self._add_readers(procs, addrs)
-        _merge_tally(self._reads_per_proc, _tally(procs))
+        _merge_tally(self._reads_per_proc, tally)
         self._reads.append(handle)
         return handle
 
     def _add_readers(self, procs: Any, addrs: Sequence[int]) -> None:
         """Per-pair reader insertion (the path for cells read before);
         ``procs`` is a column, or ``repeat(proc)`` for a block."""
+        if self._counted_reads and _touches(self._counted_reads, addrs):
+            self._expand_reads()
         readers = self._readers
         get = readers.get
         shared = self._read_shared
@@ -475,6 +524,15 @@ class Phase:
                 readers[a] = {cell, p}
                 shared = True
         self._read_shared = shared
+
+    def _expand_reads(self) -> None:
+        """Rebuild the counted read columns' per-cell reader entries, as
+        :meth:`_add_readers` would have built them at issue time: their
+        cells are blanked in place, which keeps the dict's key order."""
+        counted, self._counted_reads = self._counted_reads, []
+        for procs, addrs, counts in counted:
+            self._readers.update(dict.fromkeys(counts))
+            self._add_readers(procs, addrs)
 
     def _replay_reads(
         self, procs: Any, addrs: Sequence[int], proc: Optional[int] = None
@@ -512,6 +570,10 @@ class Phase:
             )
         writes = self._writes
         entry = writes.get(addr)
+        if entry is not None and self._counted_writes and _touches(
+            self._counted_writes, (addr,)
+        ):
+            entry = self._write_entries()[addr]
         if entry is None:
             writes[addr] = (proc, value)
         elif type(entry) is Collided:
@@ -654,23 +716,39 @@ class Phase:
         lo = min(addrs)
         hi = max(addrs)
         writes = self._writes
-        if (
+        tally = _tally(procs)
+        new_cells = (
             not writes
             or lo > self._write_hi
             or hi < self._write_lo
             or writes.keys().isdisjoint(addrs)
-        ) and (type(addrs) is range or len(set(addrs)) == len(addrs)):
+        )
+        if not new_cells:
+            self._insert_writes(procs, addrs, vals)
+        elif type(addrs) is range or len(set(addrs)) == len(addrs):
             # Distinct cells, all new to the phase: one C-level pass of
             # (proc, value) entries.
             writes.update(zip(addrs, zip(procs, vals)))
+            self._has_pairs = True
+        elif (
+            len(tally) == len(procs)
+            and machine._can_count_writes()
+            and _common_int(vals)
+        ):
+            # Distinct processors storing one common value on cells new to
+            # the phase (a counted column): each cell's queue is its count
+            # in the column, and it lands as the bare value.
+            counts = Counter(addrs)
+            writes.update(dict.fromkeys(counts, vals[0]))
+            self._counted_writes.append((procs, addrs, vals[0], counts))
+            self._has_plain = True
         else:
             self._insert_writes(procs, addrs, vals)
-        self._has_pairs = True
         if hi > self._write_hi:
             self._write_hi = hi
         if lo < self._write_lo:
             self._write_lo = lo
-        _merge_tally(self._writes_per_proc, _tally(procs))
+        _merge_tally(self._writes_per_proc, tally)
 
     def _replay_writes(
         self, procs: Any, addrs: Sequence[int], values: Sequence[Any]
@@ -683,6 +761,8 @@ class Phase:
     def _insert_writes(self, procs: Any, addrs: Sequence[int], values: Sequence[Any]) -> None:
         """Per-item write insertion (the path that handles colliding cells);
         ``procs`` is a column, or ``repeat(proc)`` for a block."""
+        if self._counted_writes and _touches(self._counted_writes, addrs):
+            self._write_entries()
         writes = self._writes
         writes_get = writes.get
         collision = self._write_collision
@@ -700,6 +780,21 @@ class Phase:
                 collision = True
         self._write_collision = collision
         self._has_pairs = True
+
+    def _write_entries(self) -> Dict[int, WriteEntry]:
+        """The pending write entries per cell (see :data:`WriteEntry`),
+        for whatever resolves writes from them: a winner policy, a trace,
+        the GSM and PRAM write rules.  Counted columns are expanded first,
+        into the entries :meth:`_insert_writes` would have built at issue
+        time; their cells are blanked in place, which keeps the dict's key
+        order."""
+        counted = self._counted_writes
+        if counted:
+            self._counted_writes = []
+            for procs, addrs, value, counts in counted:
+                self._writes.update(dict.fromkeys(counts))
+                self._insert_writes(procs, addrs, repeat(value))
+        return self._writes
 
     def _first_writer(self, addr: int) -> int:
         """Writer of a bare-value entry, from the per-block origin records."""
@@ -752,23 +847,32 @@ class Phase:
         # duplicate requests by one processor count once toward kappa (they
         # still count per-request toward the processor's m_rw).  While no
         # cell has a second reader, every queue has length one and the dict
-        # builds in a single C-level pass.
+        # builds in a single C-level pass.  A counted column's cells take
+        # their counts (their keys are already in place, so the order holds).
         readers = self._readers
         if not self._read_shared:
-            return dict.fromkeys(readers, 1)
-        return {
-            addr: len(procs) if type(procs) is set else 1
-            for addr, procs in readers.items()
-        }
+            queue = dict.fromkeys(readers, 1)
+        else:
+            queue = {
+                addr: len(procs) if type(procs) is set else 1
+                for addr, procs in readers.items()
+            }
+        for *_, counts in self._counted_reads:
+            queue.update(counts)
+        return queue
 
     def _dict_write_queue(self) -> Dict[int, int]:
         writes = self._writes
         if not self._write_collision:
-            return dict.fromkeys(writes, 1)
-        return {
-            addr: len(set(map(_proc_of, entry))) if type(entry) is Collided else 1
-            for addr, entry in writes.items()
-        }
+            queue = dict.fromkeys(writes, 1)
+        else:
+            queue = {
+                addr: len(set(map(_proc_of, entry))) if type(entry) is Collided else 1
+                for addr, entry in writes.items()
+            }
+        for *_, counts in self._counted_writes:
+            queue.update(counts)
+        return queue
 
     def _build_record(self, index: int) -> PhaseRecord:
         read_queue = self._scalar_read_queue()
@@ -870,6 +974,11 @@ class SharedMemoryMachine:
     #: the vector engine then always materializes its write log so the
     #: model's own ``_resolve_writes`` runs.
     _plain_write_semantics = True
+
+    #: Whether collisions keep one arbitrary writer through
+    #: :meth:`_apply_arbitrary_writes` (QSM, s-QSM, QSM(g,d), PEM, and the
+    #: PRAM's arbitrary rule).
+    _arbitrary_write_rule = False
 
     def __init__(
         self,
@@ -978,6 +1087,17 @@ class SharedMemoryMachine:
             return iter(self._rng.integers(0, [len(e) for _, e in cells]).tolist())
         return (self._policy_choice(policy, addr, entries) for addr, entries in cells)
 
+    def _can_count_writes(self) -> bool:
+        """Whether a phase may keep a common-value write column counted
+        (:meth:`Phase.write_each`): only where the commit lands it without
+        per-cell entries — the arbitrary-winner rule, with no winner policy
+        (it chooses from the entries) and no trace (it records them)."""
+        return (
+            self._arbitrary_write_rule
+            and self.winner_policy is None
+            and not self.record_trace
+        )
+
     def _policy_choice(self, policy: Any, addr: int, entries: "Collided") -> int:
         choice = policy.choose(addr, entries, len(self.history))
         if not 0 <= choice < len(entries):
@@ -1011,7 +1131,26 @@ class SharedMemoryMachine:
         s-QSM, PEM, arbitrary-CRCW PRAM): a collided cell keeps the value
         :meth:`_pick_winners` chooses for it, in the write dict's
         first-write (issue) order; the memory takes all cells in one bulk
-        update."""
+        update.
+
+        When the only collisions are counted common-value columns (the
+        Common-CRCW case), the winners are still drawn — with
+        :meth:`_pick_winners`' one call over the cells' counts, so the
+        generator's state is the same — and every cell lands through the
+        single-writer path, since each winner stores the same value.
+        Entry collisions or a winner policy expand the columns first."""
+        counted = phase._counted_writes
+        if counted and (phase._write_collision or self.winner_policy is not None):
+            phase._write_entries()
+        elif counted:
+            # Every counted column has a repeated cell, so the draw is
+            # never empty; first-write order is column order, then count
+            # order (first appearance) within a column.
+            self._rng.integers(
+                0, [k for *_, counts in counted for k in counts.values() if k > 1]
+            )
+            self._apply_single_writes(phase)
+            return
         if not phase._write_collision:
             self._apply_single_writes(phase)
             return

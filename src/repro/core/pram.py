@@ -93,6 +93,10 @@ class PRAM(SharedMemoryMachine):
         )
         self.params = params if params is not None else PRAMParams()
 
+    @property
+    def _arbitrary_write_rule(self) -> bool:
+        return self.params.write_rule == "arbitrary"
+
     def _phase_cost(self, record: PhaseRecord) -> float:
         self._enforce_step_shape(record)
         self._enforce_concurrency(record)
@@ -132,12 +136,16 @@ class PRAM(SharedMemoryMachine):
 
     def _resolve_writes(self, phase: Phase) -> None:
         rule = self.params.write_rule
-        if rule == "arbitrary" or not phase._write_collision:
-            # Collisions only survive costing on the CRCW; the arbitrary
-            # rule is the QSM's, with the same pluggable arbitration.
+        if rule == "arbitrary":
+            # The QSM's rule, with the same pluggable arbitration.
             self._apply_arbitrary_writes(phase)
             return
-        for addr, entry in phase._writes.items():
+        # The common and priority rules read every writer of a cell.
+        writes = phase._write_entries()
+        if not phase._write_collision:
+            self._apply_single_writes(phase)
+            return
+        for addr, entry in writes.items():
             kind = type(entry)
             if kind is not Collided:
                 self._memory[addr] = entry[1] if kind is tuple else entry

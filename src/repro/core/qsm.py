@@ -27,6 +27,7 @@ class QSM(SharedMemoryMachine):
     """Queuing Shared Memory machine."""
 
     model_label = "QSM"
+    _arbitrary_write_rule = True
 
     def __init__(
         self,

@@ -50,7 +50,7 @@ class PhaseTrace:
         from repro.core.machine import Collided
 
         writes: Dict[int, list] = {}
-        for addr, entry in phase._writes.items():
+        for addr, entry in phase._write_entries().items():
             kind = type(entry)
             if kind is Collided:
                 for proc, value in entry:

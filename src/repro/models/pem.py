@@ -39,6 +39,7 @@ class PEM(SharedMemoryMachine):
     """Parallel External Memory machine (private caches, block transfers)."""
 
     model_label = "PEM"
+    _arbitrary_write_rule = True
 
     def __init__(
         self,

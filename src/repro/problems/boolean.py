@@ -21,7 +21,7 @@ def gen_bits(n: int, density: float = 0.5, seed: RngLike = None) -> List[int]:
     if not 0.0 <= density <= 1.0:
         raise ValueError(f"density must be in [0,1], got {density}")
     rng = derive_rng(seed)
-    return [int(b) for b in (rng.random(n) < density)]
+    return (rng.random(n) < density).astype(int).tolist()
 
 
 def verify_parity(bits: Sequence[int], answer: int) -> bool:

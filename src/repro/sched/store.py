@@ -198,7 +198,13 @@ class ResultStore:
         # surfaces as FileNotFoundError here; recreate the shard and try
         # again rather than failing a task whose result is in hand.
         for attempt in range(3):
-            os.makedirs(directory, exist_ok=True)
+            try:
+                os.makedirs(directory, exist_ok=True)
+            except FileExistsError:
+                # makedirs' mkdir found the shard and a prune removed it
+                # before makedirs' own isdir() check; that raises even with
+                # exist_ok.
+                continue
             try:
                 fd, tmp = tempfile.mkstemp(prefix=".store-", dir=directory)
             except FileNotFoundError:

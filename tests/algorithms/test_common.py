@@ -7,10 +7,63 @@ from repro.algorithms.common import (
     CostMeter,
     RunResult,
     bsp_fanin,
+    check_bits,
     default_tree_fanin,
     model_name,
 )
 from repro.core import BSP, GSM, QSM, SQSM, BSPParams, GSMParams, QSMParams, SQSMParams
+
+
+def _loop_check_bits(bits, problem):
+    """The per-element check ``check_bits`` must behave exactly like."""
+    out = []
+    for b in bits:
+        if b not in (0, 1):
+            raise ValueError(f"{problem} input must be 0/1 bits, got {b!r}")
+        out.append(int(b))
+    if not out:
+        raise ValueError(f"{problem} of an empty input is undefined here; pass >= 1 bit")
+    return out
+
+
+def _outcome(fn, *args):
+    try:
+        value = fn(*args)
+    except ValueError as exc:
+        return "error", str(exc)
+    return "ok", value, [type(b) for b in value]
+
+
+class TestCheckBits:
+    @pytest.mark.parametrize(
+        "bits",
+        [
+            [1, 0, 1, 1], (0, 1), [0] * 9, [True, 0], [1.0, 0], [0, 1, 2, 1],
+            [1, "x"], [0, -1], [0, 1, 1.5], [1, None], [], (), [7], range(2),
+        ],
+    )
+    @pytest.mark.parametrize("problem", ["parity", "OR"])
+    def test_matches_the_per_element_loop(self, bits, problem):
+        assert _outcome(check_bits, bits, problem) == _outcome(
+            _loop_check_bits, bits, problem
+        )
+
+    def test_returns_a_new_list(self):
+        bits = [1, 0]
+        out = check_bits(bits, "parity")
+        out.append(1)
+        assert bits == [1, 0]
+
+    def test_algorithms_raise_the_loops_error(self):
+        from repro.algorithms.or_ import or_tree_writes
+        from repro.algorithms.parity import parity_tree
+
+        for algo, problem in ((parity_tree, "parity"), (or_tree_writes, "OR")):
+            for bits in ([0, 1, 3, "x"], []):
+                expected = _outcome(_loop_check_bits, bits, problem)
+                with pytest.raises(ValueError) as info:
+                    algo(QSM(), bits)
+                assert ("error", str(info.value)) == expected
 
 
 class TestAllocator:

@@ -24,6 +24,16 @@ class TestGenBits:
         with pytest.raises(ValueError):
             gen_bits(-1)
 
+    @pytest.mark.parametrize("n", [0, 1, 7, 256, 1000])
+    @pytest.mark.parametrize("density", [0.0, 0.05, 0.5, 0.93, 1.0])
+    @pytest.mark.parametrize("seed", [0, 1, 12345])
+    def test_same_bits_as_the_per_element_conversion(self, n, density, seed):
+        from repro.util.seeding import derive_rng
+
+        expected = [int(b) for b in (derive_rng(seed).random(n) < density)]
+        got = gen_bits(n, density=density, seed=seed)
+        assert got == expected and set(map(type, got)) <= {int}
+
 
 class TestVerifiers:
     def test_parity(self):

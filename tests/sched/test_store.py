@@ -237,6 +237,25 @@ class TestConcurrentWriters:
         assert os.path.exists(path)
         assert store.get_outcome(key)["measured"] == 32.0
 
+    def test_put_survives_prune_rmdir_inside_makedirs(self, tmp_path, monkeypatch):
+        store = ResultStore(str(tmp_path / "store"))
+        real_makedirs = os.makedirs
+        raced = {"done": False}
+
+        def racing_makedirs(name, exist_ok=False):
+            if not raced["done"]:
+                raced["done"] = True
+                # mkdir saw the shard, a concurrent prune() removed it, and
+                # makedirs' isdir() check then fails: EEXIST despite exist_ok.
+                raise FileExistsError(17, "File exists")
+            return real_makedirs(name, exist_ok=exist_ok)
+
+        monkeypatch.setattr("repro.sched.store.os.makedirs", racing_makedirs)
+        key = store.key_for(point_fn, {"n": 12})
+        store.put(key, {"measured": 48.0, "correct": True})
+        assert raced["done"]
+        assert store.get_outcome(key)["measured"] == 48.0
+
     def test_put_survives_prune_rmdir_before_replace(self, tmp_path, monkeypatch):
         import shutil
 
