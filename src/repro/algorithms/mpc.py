@@ -24,21 +24,10 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from repro.algorithms.common import CostMeter, RunResult, mpc_fanin
+from repro.algorithms.common import CostMeter, RunResult, check_bits, mpc_fanin
 from repro.models.mpc import MPC
 
 __all__ = ["parity_mpc", "or_mpc", "list_rank_mpc"]
-
-
-def _check_bits(bits: Sequence[int]) -> List[int]:
-    out = []
-    for b in bits:
-        if b not in (0, 1):
-            raise ValueError(f"input must be 0/1 bits, got {b!r}")
-        out.append(int(b))
-    if not out:
-        raise ValueError("empty input is undefined here; pass >= 1 bit")
-    return out
 
 
 def _require_mpc(machine) -> None:
@@ -54,7 +43,7 @@ def parity_mpc(machine: MPC, bits: Sequence[int]) -> RunResult:
     is charged the unit floor and the measured cost is the round count.
     """
     _require_mpc(machine)
-    values = _check_bits(bits)
+    values = check_bits(bits, "parity")
     meter = CostMeter(machine)
     p = machine.p
     machine.scatter(values, key="parity_in")
@@ -95,7 +84,7 @@ def or_mpc(machine: MPC, bits: Sequence[int]) -> RunResult:
     send, so ``h`` per combine round is at most ``k - 1 <= s``.
     """
     _require_mpc(machine)
-    values = _check_bits(bits)
+    values = check_bits(bits, "OR")
     meter = CostMeter(machine)
     p = machine.p
     machine.scatter(values, key="or_in")

@@ -14,9 +14,15 @@ Every processor issues at most one shared-memory access per step, as the
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
-from repro.algorithms.common import Allocator, CostMeter, RunResult, fresh_allocator
+from repro.algorithms.common import (
+    Allocator,
+    CostMeter,
+    RunResult,
+    check_bits,
+    fresh_allocator,
+)
 from repro.core.pram import PRAM, ConcurrencyViolation
 
 __all__ = ["or_crcw", "parity_erew", "parity_crcw"]
@@ -24,15 +30,6 @@ __all__ = ["or_crcw", "parity_erew", "parity_crcw"]
 # The CRCW parity pattern method spawns 2^b processors per block; cap the
 # simulated block width (same consideration as parity_blocks on the QSM).
 MAX_BLOCK_BITS = 10
-
-
-def _check_bits(bits: Sequence[int]) -> List[int]:
-    out = [int(b) for b in bits]
-    if any(b not in (0, 1) for b in out):
-        raise ValueError("input must be 0/1 bits")
-    if not out:
-        raise ValueError("empty input")
-    return out
 
 
 def _require_variant(machine: PRAM, *variants: str) -> None:
@@ -52,7 +49,7 @@ def or_crcw(machine: PRAM, bits: Sequence[int], alloc: Optional[Allocator] = Non
     back.  Total: 2 unit-time steps regardless of n.
     """
     _require_variant(machine, "CRCW")
-    values = _check_bits(bits)
+    values = check_bits(bits, "OR")
     alloc = alloc or fresh_allocator(machine)
     meter = CostMeter(machine)
     out = alloc.alloc(1)
@@ -75,7 +72,7 @@ def parity_erew(
     step — exclusive reads and writes throughout.
     """
     _require_variant(machine, "EREW", "CREW", "CRCW")
-    values = _check_bits(bits)
+    values = check_bits(bits, "parity")
     alloc = alloc or fresh_allocator(machine)
     meter = CostMeter(machine)
 
@@ -128,7 +125,7 @@ def parity_crcw(
     ``log n / log log n`` step count whose optimality is Beame-Hastad [3].
     """
     _require_variant(machine, "CRCW")
-    values = _check_bits(bits)
+    values = check_bits(bits, "parity")
     n = len(values)
     if block_size is None:
         block_size = max(2, min(MAX_BLOCK_BITS, int(math.log2(max(4, n)))))

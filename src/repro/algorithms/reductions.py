@@ -18,7 +18,13 @@ from __future__ import annotations
 
 from typing import Optional, Sequence, Union
 
-from repro.algorithms.common import Allocator, CostMeter, RunResult, fresh_allocator
+from repro.algorithms.common import (
+    Allocator,
+    CostMeter,
+    RunResult,
+    check_bits,
+    fresh_allocator,
+)
 from repro.algorithms.list_ranking import list_rank
 from repro.algorithms.sorting import sample_sort_bsp, sort_shared
 from repro.core.bsp import BSP
@@ -29,15 +35,6 @@ from repro.core.sqsm import SQSM
 __all__ = ["parity_via_list_ranking", "parity_via_sorting", "parity_via_sorting_bsp"]
 
 SharedMachine = Union[QSM, SQSM, GSM]
-
-
-def _check_bits(bits: Sequence[int]):
-    out = [int(b) for b in bits]
-    if any(b not in (0, 1) for b in out):
-        raise ValueError("parity input must be 0/1 bits")
-    if not out:
-        raise ValueError("parity of an empty input is undefined here")
-    return out
 
 
 def parity_via_list_ranking(
@@ -52,7 +49,7 @@ def parity_via_list_ranking(
     of ones, and its low bit is the parity.  Size-preserving: n bits -> n
     nodes.
     """
-    values = _check_bits(bits)
+    values = check_bits(bits, "parity")
     n = len(values)
     meter = CostMeter(machine)
     next_ptrs = [i + 1 for i in range(n - 1)] + [None]
@@ -72,7 +69,7 @@ def parity_via_sorting(
     decode is a local O(log n) binary search by one processor over the
     sorted array (charged as reads).
     """
-    values = _check_bits(bits)
+    values = check_bits(bits, "parity")
     n = len(values)
     alloc = alloc or fresh_allocator(machine)
     meter = CostMeter(machine)
@@ -106,7 +103,7 @@ def parity_via_sorting_bsp(machine: BSP, bits: Sequence[int]) -> RunResult:
     Component 0 learns each component's share of the sorted output
     (one message per component: an (n/p)-relation at worst) and counts ones.
     """
-    values = _check_bits(bits)
+    values = check_bits(bits, "parity")
     meter = CostMeter(machine)
     sorted_run = sample_sort_bsp(machine, values)
     p = machine.p

@@ -277,6 +277,7 @@ class CampaignExecution:
 
         # Resume pass: anything already in the store is complete, regardless
         # of what happened to its deps in this or any previous run.
+        hits = 0
         for task in campaign.tasks:
             if task.inline:
                 continue  # inline tasks are derived data; always recomputed
@@ -287,12 +288,14 @@ class CampaignExecution:
                 self.spans[task.name] = TaskSpan(
                     task.name, self.keys[task.name], "cached", start=now, end=now
                 )
-                if _metrics.REGISTRY.enabled:
-                    self._account("cached")
-                    _metrics.REGISTRY.counter(
-                        "repro_store_hits_total", "tasks served from the result store"
-                    ).inc(**self.labels)
+                hits += 1
                 self._emit(f"[{len(self.outcomes)}/{self.total}] cached {task.name}")
+        if hits and _metrics.REGISTRY.enabled:
+            # One add per job, not per task: the totals are the same.
+            self._account("cached", hits)
+            _metrics.REGISTRY.counter(
+                "repro_store_hits_total", "tasks served from the result store"
+            ).inc(hits, **self.labels)
 
         self.remaining_deps: Dict[str, set] = {
             t.name: {d for d in t.deps if d not in self.outcomes}
@@ -315,10 +318,10 @@ class CampaignExecution:
         if self._progress is not None:
             self._progress(line)
 
-    def _account(self, status: str) -> None:
+    def _account(self, status: str, tasks: int = 1) -> None:
         _metrics.REGISTRY.counter(
             "repro_campaign_tasks_total", "task terminal states by status"
-        ).inc(status=status, **self.labels)
+        ).inc(tasks, status=status, **self.labels)
 
     def _push_ready(self, name: str) -> None:
         heapq.heappush(self._ready, (-self.tasks[name].priority, self._counter, name))

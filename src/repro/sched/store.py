@@ -22,6 +22,11 @@ Layout: one JSON file per entry under ``<root>/objects/<k[:2]>/<k>.json``
 **quarantine** corrupt files (rename to ``*.quarantined``) instead of
 failing the run.  :meth:`ResultStore.prune` garbage-collects by age (or
 everything).
+
+Each instance reads through a bounded in-memory index of the entries it
+decoded (:data:`INDEX_ENTRIES`): a re-read of an unchanged file costs one
+``stat`` and returns the same dict as before, so stored entries and their
+outcomes are read-only to every caller.
 """
 
 from __future__ import annotations
@@ -32,10 +37,11 @@ import hashlib
 import json
 import os
 import tempfile
+import threading
 import time
 import warnings
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional
+from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
 __all__ = [
     "ResultStore",
@@ -52,6 +58,11 @@ STORE_ENV = "REPRO_STORE"
 
 #: Keys every stored entry must carry to be considered well-formed.
 _ENTRY_SCHEMA = ("key", "version", "spec", "outcome", "created")
+
+#: Most decoded entries one store instance keeps in its read-through
+#: index; the oldest-inserted is evicted first.  A decoded Table 1 entry
+#: takes about 2 KB, so a full index holds about 8 MB.
+INDEX_ENTRIES = 4096
 
 
 def canonical_spec(spec: Mapping[str, Any]) -> str:
@@ -141,6 +152,12 @@ class ResultStore:
             from repro import __version__ as version
         self.root = os.path.abspath(root)
         self.version = str(version)
+        self._objects_dir = os.path.join(self.root, "objects")
+        #: key -> ((st_ino, st_mtime_ns, st_size), entry) for entries this
+        #: instance decoded from disk.  Filled by get() only; every
+        #: mutation holds the lock, lookups are single atomic dict reads.
+        self._index: Dict[str, Tuple[Tuple[int, int, int], Dict[str, Any]]] = {}
+        self._index_lock = threading.Lock()
 
     # -- keys --------------------------------------------------------------
 
@@ -159,13 +176,9 @@ class ResultStore:
 
     # -- paths -------------------------------------------------------------
 
-    @property
-    def _objects_dir(self) -> str:
-        return os.path.join(self.root, "objects")
-
     def path_for(self, key: str) -> str:
         """Filesystem path of ``key``'s entry (which may not exist yet)."""
-        return os.path.join(self._objects_dir, key[:2], f"{key}.json")
+        return f"{self._objects_dir}{os.sep}{key[:2]}{os.sep}{key}.json"
 
     # -- read/write --------------------------------------------------------
 
@@ -233,12 +246,26 @@ class ResultStore:
         An unreadable or schema-invalid entry is renamed to
         ``*.quarantined`` (with a warning) and reported as missing, so one
         torn write costs one re-run, never the campaign.
+
+        An entry this instance already decoded is served from its index
+        while the file keeps the inode, ``st_mtime_ns`` and size it had
+        when read: one ``stat``, no ``open``.  Every caller then gets the
+        same dict, so treat the entry and its outcome as read-only.
         """
         path = self.path_for(key)
-        if not os.path.exists(path):
+        try:
+            st = os.stat(path)
+        except (OSError, ValueError):
+            self._forget(key)
             return None
+        indexed = self._index.get(key)
+        if indexed is not None and indexed[0] == (st.st_ino, st.st_mtime_ns, st.st_size):
+            return indexed[1]
         try:
             with open(path, "r", encoding="utf-8") as fh:
+                # Stamp before reading: an edit racing the read changes
+                # the stamp, so the next get reads the file again.
+                st = os.fstat(fh.fileno())
                 entry = json.load(fh)
             if not isinstance(entry, dict) or any(k not in entry for k in _ENTRY_SCHEMA):
                 raise ValueError("entry does not match the store schema")
@@ -246,13 +273,24 @@ class ResultStore:
                 raise ValueError("entry outcome is not an object")
         except (OSError, ValueError) as exc:
             self._quarantine(path, str(exc))
+            self._forget(key)
             return None
+        with self._index_lock:
+            self._index.pop(key, None)
+            self._index[key] = ((st.st_ino, st.st_mtime_ns, st.st_size), entry)
+            while len(self._index) > INDEX_ENTRIES:
+                del self._index[next(iter(self._index))]
         return entry
 
     def get_outcome(self, key: str) -> Optional[Dict[str, Any]]:
         """Just the outcome dict for ``key`` (None when absent)."""
         entry = self.get(key)
         return None if entry is None else entry["outcome"]
+
+    def _forget(self, key: str) -> None:
+        """Drop ``key``'s index entry (its file is gone or unusable)."""
+        with self._index_lock:
+            self._index.pop(key, None)
 
     def _quarantine(self, path: str, reason: str) -> None:
         quarantined = path + ".quarantined"
@@ -332,6 +370,7 @@ class ResultStore:
                     os.unlink(path)
                 except OSError:  # pragma: no cover - racing GC
                     pass
+                self._forget(key)
         if not dry_run:
             objects = self._objects_dir
             if os.path.isdir(objects):

@@ -408,8 +408,10 @@ class FairShareMultiplexer:
 
         Activates queued jobs, dispatches fair-share, waits up to
         ``wait`` seconds for pool completions (or a ``pool.wake()``),
-        folds them in, and finishes drained jobs.  Call in a loop from a
-        single thread.
+        folds them in, and finishes drained jobs.  A step that already
+        changed a job (activated it, or finished a fully cached one)
+        only polls the pool, so the caller hears of the change at once.
+        Call in a loop from a single thread.
         """
         changed: List[JobRecord] = []
         with self._lock:
@@ -418,6 +420,8 @@ class FairShareMultiplexer:
                 # Only a newly activated job can have work to dispatch
                 # here; everything else was dispatched after the last wait.
                 self._dispatch()
+            if changed or self._newly_finished:
+                wait = 0.0
         # The blocking wait happens outside the lock so submissions and
         # cancellations from HTTP threads never stall behind it; they
         # wake the pool, so an idle scheduler sleeps here instead of

@@ -62,6 +62,10 @@ __all__ = ["CampaignService", "Subscription"]
 #: Events a slow subscriber can lag by before the oldest is dropped.
 _QUEUE_DEPTH = 256
 
+#: Longest the scheduler thread blocks in one ``step`` waiting for pool
+#: events; submissions, cancellations and ``stop`` end the wait at once.
+POLL_WAIT = 0.2
+
 
 class Subscription:
     """One subscriber's bounded event queue.
@@ -305,7 +309,7 @@ class CampaignService:
         next_snap = time.monotonic()
         fleet_digest: Optional[Tuple[Any, ...]] = None
         while not self._stop.is_set():
-            changed = self.mux.step(wait=0.2)
+            changed = self.mux.step(wait=POLL_WAIT)
             for job in changed:
                 self._broadcast_job(job)
             digest = self._fleet_digest()
@@ -349,6 +353,13 @@ class CampaignService:
                 sub.push("job", data, done=done)
 
     def _broadcast_snapshot(self, final: bool = False) -> None:
+        """Capture a snapshot for the ``--metrics`` file and every global
+        subscriber; with neither there is nothing to capture, and ``seq``
+        counts only the snapshots emitted."""
+        with self._subs_lock:
+            subs = [s for s in self._subs if s.job_id is None]
+        if not subs and self._metrics_path is None:
+            return
         now = time.monotonic()
         snap = MetricsSnapshot.capture(
             seq=self._snap_seq,
@@ -365,7 +376,5 @@ class CampaignService:
                 self._metrics_fh = open(self._metrics_path, "w", encoding="utf-8")
             self._metrics_fh.write(data + "\n")
             self._metrics_fh.flush()
-        with self._subs_lock:
-            subs = [s for s in self._subs if s.job_id is None]
         for sub in subs:
             sub.push("snapshot", data)

@@ -30,6 +30,11 @@ class TestParityViaListRanking:
         with pytest.raises(ValueError):
             parity_via_list_ranking(QSM(), [0, 3])
 
+    @pytest.mark.parametrize("bad", [1.7, "1"])
+    def test_rejects_non_bits_by_value(self, bad):
+        with pytest.raises(ValueError, match=f"^parity input must be 0/1 bits, got {bad!r}$"):
+            parity_via_list_ranking(QSM(), [0, bad])
+
 
 class TestParityViaSorting:
     @pytest.mark.parametrize("n", [1, 2, 9, 50, 120])

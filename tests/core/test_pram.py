@@ -185,6 +185,14 @@ class TestPRAMAlgorithms:
         t_crcw = parity_crcw(PRAM(PRAMParams("CRCW", "common")), bits).time
         assert t_crcw < t_erew
 
+    def test_inputs_must_be_bits(self):
+        from repro.algorithms.pram_algos import or_crcw, parity_erew
+
+        with pytest.raises(ValueError, match=r"^OR input must be 0/1 bits, got 1\.7$"):
+            or_crcw(PRAM(PRAMParams("CRCW", "common")), [1, 1.7])
+        with pytest.raises(ValueError, match=r"^parity input must be 0/1 bits, got '1'$"):
+            parity_erew(PRAM(PRAMParams("EREW")), [0, "1"])
+
     def test_variant_requirements_enforced(self):
         from repro.algorithms.pram_algos import or_crcw, parity_crcw
 

@@ -27,6 +27,16 @@ class TestMPCParams:
             prm.s = 8.0
 
 
+class TestBitInputs:
+    def test_inputs_must_be_bits(self):
+        from repro.algorithms.mpc import or_mpc, parity_mpc
+
+        with pytest.raises(ValueError, match=r"^parity input must be 0/1 bits, got 1\.7$"):
+            parity_mpc(MPC(2), [1, 1.7])
+        with pytest.raises(ValueError, match=r"^OR input must be 0/1 bits, got 2$"):
+            or_mpc(MPC(2), [0, 2])
+
+
 class TestRoundCharge:
     def test_is_a_bsp(self):
         # MPC rides the superstep substrate: one round == one superstep.

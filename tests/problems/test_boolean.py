@@ -46,3 +46,22 @@ class TestVerifiers:
         assert verify_or([0, 0], 0)
         assert not verify_or([0, 0], 1)
         assert not verify_or([1], 7)
+
+    @pytest.mark.parametrize(
+        "bits",
+        [
+            [1, 0, 1, 1], [True, False, True], [True, 1, 0], [1.0, 0.0, 1.0],
+            [0.5, 1.5, 1.0], [], (1, 0, 1), range(3), [1, 0, 1.9],
+            "numpy-int-list", "numpy-array",
+        ],
+    )
+    @pytest.mark.parametrize("answer", [0, 1])
+    def test_parity_matches_the_per_element_conversion(self, bits, answer):
+        import numpy as np
+
+        if bits == "numpy-int-list":
+            bits = list(np.array([1, 0, 1, 1]))
+        elif bits == "numpy-array":
+            bits = np.array([1, 1, 0])
+        expected = answer == (sum(int(b) for b in bits) & 1)
+        assert verify_parity(bits, answer) is expected

@@ -378,3 +378,258 @@ class TestCrashDuringWrite:
         # The next attempt (the retry a crashed task gets) lands cleanly.
         store.put(key, {"measured": 16.0, "correct": True})
         assert store.get_outcome(key)["measured"] == 16.0
+
+
+class TestReadThroughIndex:
+    """get() serves an entry it already decoded from memory while the file
+    keeps its (inode, mtime, size) stamp, and reads the disk otherwise."""
+
+    @staticmethod
+    def _stored(store, n, measured=None):
+        key = store.key_for(point_fn, {"n": n})
+        outcome = {"measured": float(n if measured is None else measured), "correct": True}
+        store.put(key, outcome, spec=task_spec(point_fn, {"n": n}))
+        return key
+
+    def test_a_hit_opens_no_file_and_matches_a_fresh_read(self, tmp_path, monkeypatch):
+        store = ResultStore(str(tmp_path))
+        key = self._stored(store, 8)
+        first = store.get(key)
+        opened, loaded = [], []
+        real_open, real_load = open, json.load
+        monkeypatch.setattr(
+            "repro.sched.store.open",
+            lambda *a, **kw: opened.append(a[0]) or real_open(*a, **kw),
+            raising=False,
+        )
+        monkeypatch.setattr(
+            "repro.sched.store.json.load",
+            lambda *a, **kw: loaded.append(a[0]) or real_load(*a, **kw),
+        )
+        assert store.get(key) is first
+        assert store.get_outcome(key) is first["outcome"]
+        assert opened == [] and loaded == []
+        monkeypatch.undo()
+        assert first == ResultStore(str(tmp_path)).get(key)
+
+    def test_an_entry_replaced_by_another_instance_is_reread(self, tmp_path):
+        store, other = ResultStore(str(tmp_path)), ResultStore(str(tmp_path))
+        key = self._stored(store, 8)
+        assert store.get_outcome(key)["measured"] == 8.0
+        other.put(key, {"measured": 99.0, "correct": True})
+        assert store.get_outcome(key)["measured"] == 99.0
+
+    def test_an_entry_pruned_by_another_instance_reads_as_missing(self, tmp_path):
+        store, other = ResultStore(str(tmp_path)), ResultStore(str(tmp_path))
+        key = self._stored(store, 8)
+        assert store.get(key) is not None
+        assert other.prune() == [key]
+        assert store.get(key) is None
+        assert key not in store._index
+
+    def test_an_entry_corrupted_in_place_is_quarantined(self, tmp_path):
+        store = ResultStore(str(tmp_path))
+        key = self._stored(store, 8)
+        assert store.get(key) is not None
+        with open(store.path_for(key), "w") as fh:  # same inode, new size
+            fh.write("{torn")
+        with pytest.warns(RuntimeWarning, match="unusable"):
+            assert store.get(key) is None
+        assert os.path.exists(store.path_for(key) + ".quarantined")
+        assert key not in store._index
+
+    def test_a_same_size_rewrite_in_place_is_seen_once_its_mtime_moves(self, tmp_path):
+        store = ResultStore(str(tmp_path))
+        key = self._stored(store, 8, measured=1.0)
+        assert store.get_outcome(key)["measured"] == 1.0
+        path = store.path_for(key)
+        before = os.stat(path)
+        with open(path, "r+") as fh:
+            text = fh.read()
+            fh.seek(0)
+            fh.write(text.replace('"measured": 1.0', '"measured": 2.0'))
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns + 10**9))
+        assert os.stat(path).st_ino == before.st_ino
+        assert os.stat(path).st_size == before.st_size
+        assert store.get_outcome(key)["measured"] == 2.0
+
+    def test_own_prune_drops_index_entries(self, tmp_path):
+        store = ResultStore(str(tmp_path))
+        keys = [self._stored(store, n) for n in range(3)]
+        for key in keys:
+            store.get(key)
+        assert set(store._index) == set(keys)
+        store.prune(keep=keys[:1])
+        assert set(store._index) == set(keys[:1])
+
+    def test_two_roots_never_share_an_entry(self, tmp_path):
+        # table1-batch's shape: a fresh store per campaign, the same keys.
+        first = ResultStore(str(tmp_path / "a"))
+        key = self._stored(first, 8, measured=1.0)
+        assert first.get(key) is not None
+        second = ResultStore(str(tmp_path / "b"))
+        assert second.get(key) is None
+        self._stored(second, 8, measured=2.0)
+        assert second.get_outcome(key)["measured"] == 2.0
+        assert first.get_outcome(key)["measured"] == 1.0
+
+    def test_put_alone_does_not_grow_the_index(self, tmp_path):
+        store = ResultStore(str(tmp_path))
+        for n in range(5):
+            self._stored(store, n)
+        assert store._index == {}
+
+    def test_index_stays_within_its_bound(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("repro.sched.store.INDEX_ENTRIES", 4)
+        store = ResultStore(str(tmp_path))
+        keys = [self._stored(store, n) for n in range(10)]
+        for key in keys:
+            assert store.get(key) is not None
+            assert len(store._index) <= 4
+        assert list(store._index) == keys[-4:]  # oldest-inserted evicted first
+        fresh = ResultStore(str(tmp_path))
+        for n, key in enumerate(keys):  # evicted entries read back from disk
+            assert store.get(key) == fresh.get(key)
+            assert store.get_outcome(key)["measured"] == float(n)
+        assert len(store._index) <= 4
+
+    def test_every_index_mutation_holds_the_lock(self, tmp_path, monkeypatch):
+        # Eviction reads the oldest key, then deletes it: a mutation from
+        # another thread in between would raise, so none may skip the lock.
+        monkeypatch.setattr("repro.sched.store.INDEX_ENTRIES", 2)
+        store = ResultStore(str(tmp_path))
+        lock = store._index_lock
+        unlocked = []
+
+        class Checked(dict):
+            def __setitem__(self, key, value):
+                unlocked.append(not lock.locked())
+                super().__setitem__(key, value)
+
+            def __delitem__(self, key):
+                unlocked.append(not lock.locked())
+                super().__delitem__(key)
+
+            def pop(self, *args):
+                unlocked.append(not lock.locked())
+                return super().pop(*args)
+
+        store._index = Checked()
+        keys = [self._stored(store, n) for n in range(4)]
+        for key in keys:  # fills, then evicts
+            store.get(key)
+        with open(store.path_for(keys[-1]), "w") as fh:
+            fh.write("{torn")
+        with pytest.warns(RuntimeWarning):
+            store.get(keys[-1])  # quarantine
+        store.get("0" * 64)  # a miss
+        store.prune()
+        assert unlocked and not any(unlocked)
+
+    def test_threads_calling_get_put_and_prune(self, tmp_path, monkeypatch):
+        import sys
+        import threading
+
+        monkeypatch.setattr("repro.sched.store.INDEX_ENTRIES", 8)
+        store = ResultStore(str(tmp_path / "store"))
+        keys = [store.key_for(point_fn, {"n": n}) for n in range(16)]
+        errors, bad = [], []
+        stop = threading.Event()
+
+        def guarded(body):
+            def run():
+                try:
+                    body()
+                except BaseException as exc:  # noqa: BLE001 - the assertion target
+                    errors.append(exc)
+                finally:
+                    stop.set()
+            return run
+
+        def writer():
+            for i in range(300):
+                n = i % len(keys)
+                store.put(keys[n], {"measured": float(n), "correct": True})
+
+        def reader():
+            while not stop.is_set():
+                for n, key in enumerate(keys):
+                    entry = store.get(key)
+                    if entry is not None and (
+                        entry["key"] != key
+                        or entry["outcome"] != {"measured": float(n), "correct": True}
+                    ):
+                        bad.append(entry)
+
+        def pruner():
+            while not stop.is_set():
+                store.prune(older_than_s=0)
+
+        threads = [
+            threading.Thread(target=guarded(body))
+            for body in (writer, reader, reader, reader, pruner)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert bad == []
+        assert len(store._index) <= 8
+        fresh = ResultStore(str(tmp_path / "store"))
+        for key in keys:  # nothing stale survives the race
+            assert store.get(key) == fresh.get(key)
+
+    def test_outcomes_stay_read_only_through_campaigns_and_a_sweep(
+        self, tmp_path, monkeypatch
+    ):
+        # Every index entry is handed to each caller as it is; after two
+        # table1 runs and the t1a sweep over the same store, none of them
+        # may have changed an entry.
+        from benchmarks.bench_table1_qsm_time import NS, run_t1a_point
+        from repro.analysis.parallel_sweep import parallel_sweep
+        from repro.sched.campaign import run_campaign
+        from repro.sched.campaigns import table1_campaign
+
+        store = ResultStore(str(tmp_path / "store"))
+        for _ in range(2):
+            report = run_campaign(table1_campaign(), store, jobs=2)
+            assert report.ok
+        points = parallel_sweep(
+            {"problem": ["LAC", "OR", "Parity"],
+             "variant": ["deterministic", "randomized"], "n": NS},
+            run_t1a_point, jobs=1, store=store,
+        )
+        assert all(p.correct for p in points)
+        assert len(store._index) == 81
+        fresh = ResultStore(str(tmp_path / "store"))
+        for key, (_, entry) in store._index.items():
+            assert entry == fresh.get(key)
+
+        # A third run reads every stored task through the index: one stat
+        # per task, no entry file opened.
+        objects = os.path.join(store.root, "objects")
+        stats, opened = [], []
+        real_stat, real_open = os.stat, open
+
+        def counting_stat(path, *args, **kwargs):
+            if str(path).startswith(objects):
+                stats.append(path)
+            return real_stat(path, *args, **kwargs)
+
+        monkeypatch.setattr("repro.sched.store.os.stat", counting_stat)
+        monkeypatch.setattr(
+            "repro.sched.store.open",
+            lambda *a, **kw: opened.append(a[0]) or real_open(*a, **kw),
+            raising=False,
+        )
+        report = run_campaign(table1_campaign(), store, jobs=2)
+        monkeypatch.undo()
+        assert report.ok
+        assert len(stats) == 81 and opened == []

@@ -569,6 +569,113 @@ def test_per_job_subscription_races_a_finishing_job(tmp_path, monkeypatch):
         svc.stop()
 
 
+def _job_events(sub, job_id, until, timeout=10.0):
+    """States of ``job_id``'s ``job`` events on ``sub`` up to ``until``."""
+    import json as _json
+
+    states = []
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        item = sub.get(timeout=0.05)
+        if item is None or item[0] != "job":
+            continue
+        view = _json.loads(item[1])["job"]
+        if view["id"] == job_id:
+            states.append(view["state"])
+            if view["state"] == until:
+                break
+    return states
+
+
+def test_a_job_finished_at_activation_is_broadcast_at_once(tmp_path, monkeypatch):
+    """A fully cached job goes terminal in the step that activates it; its
+    terminal event must not wait out the scheduler's poll of the pool."""
+    from repro.serve import service as service_module
+
+    monkeypatch.setattr(service_module, "POLL_WAIT", 5.0)
+    svc = CampaignService(str(tmp_path / "store"), jobs=1, snapshot_interval=10.0)
+    svc.start()
+    try:
+        first, _ = svc.submit("alice", demo_request(points=2))
+        assert wait_for(lambda: svc.job(first.id).terminal)
+        time.sleep(0.2)  # let the scheduler settle into its 5 s wait
+        sub = svc.subscribe()
+        t0 = time.monotonic()
+        job, _ = svc.submit("bob", demo_request(points=2))
+        states = _job_events(sub, job.id, until="done")
+        elapsed = time.monotonic() - t0
+        svc.unsubscribe(sub)
+        assert states[-1] == "done", states
+        assert elapsed < 1.0, f"terminal event after {elapsed:.2f} s"
+        assert svc.job(job.id).counts() == {"cached": 2, "done": 1}
+    finally:
+        svc.stop()
+
+
+def test_no_snapshot_is_captured_without_a_listener(tmp_path, monkeypatch):
+    from repro.serve import service as service_module
+
+    captured = []
+    real_capture = service_module.MetricsSnapshot.capture
+    monkeypatch.setattr(
+        service_module.MetricsSnapshot, "capture",
+        lambda **kw: captured.append(kw) or real_capture(**kw),
+    )
+    svc = CampaignService(str(tmp_path / "store"), jobs=1, snapshot_interval=0.05)
+    svc.start()
+    try:
+        job, _ = svc.submit("alice", demo_request(points=2))
+        assert wait_for(lambda: svc.job(job.id).terminal)
+        time.sleep(0.3)  # several snapshot intervals with nobody listening
+    finally:
+        svc.stop()
+    assert captured == []
+
+
+def test_a_global_subscriber_gets_snapshots_with_contiguous_seq(tmp_path):
+    import json as _json
+
+    svc = CampaignService(str(tmp_path / "store"), jobs=1, snapshot_interval=0.05)
+    sub = svc.subscribe()
+    svc.start()
+    try:
+        job, _ = svc.submit("alice", demo_request(points=2))
+        assert wait_for(lambda: svc.job(job.id).terminal)
+        time.sleep(0.3)
+    finally:
+        svc.stop()
+    seqs = []
+    while True:
+        item = sub.get(timeout=0.0)
+        if item is None:
+            break
+        if item[0] == "snapshot":
+            seqs.append(_json.loads(item[1])["seq"])
+    assert len(seqs) >= 3
+    assert seqs == list(range(len(seqs)))
+
+
+def test_the_metrics_file_gets_every_snapshot_without_a_subscriber(tmp_path):
+    from repro.obs.snapshot import read_snapshots
+
+    path = str(tmp_path / "metrics.jsonl")
+    svc = CampaignService(
+        str(tmp_path / "store"), jobs=1, snapshot_interval=0.05, metrics_path=path
+    )
+    svc.start()
+    try:
+        job, _ = svc.submit("alice", demo_request(points=2))
+        assert wait_for(lambda: svc.job(job.id).terminal)
+        time.sleep(0.3)
+    finally:
+        svc.stop()
+    snaps = list(read_snapshots(path))
+    assert len(snaps) >= 3
+    assert [s.seq for s in snaps] == list(range(len(snaps)))
+    assert snaps[-1].final
+    assert any(m["name"] == "repro_campaign_tasks_total" for m in snaps[-1].metrics)
+
+
 def _cpu_seconds(pid):
     """utime + stime of ``pid`` from ``/proc/<pid>/stat``."""
     with open(f"/proc/{pid}/stat") as fh:
