@@ -24,21 +24,11 @@ def gen_bits(n: int, density: float = 0.5, seed: RngLike = None) -> List[int]:
     return (rng.random(n) < density).astype(int).tolist()
 
 
-_EXACT_INTS = frozenset((int, bool))
-
-
 def verify_parity(bits: Sequence[int], answer: int) -> bool:
-    """True iff ``answer`` is the parity of ``bits``.
-
-    A list of exact ``int`` or ``bool`` elements is summed as it is;
-    anything else (floats, numpy ints, ...) converts each bit with
-    ``int`` first.
-    """
+    """True iff ``answer`` is the parity of ``bits``."""
     if answer not in (0, 1):
         return False
-    if type(bits) is list and _EXACT_INTS.issuperset(map(type, bits)):
-        return answer == (sum(bits) & 1)
-    return answer == (sum(int(b) for b in bits) & 1)
+    return answer == (sum(map(int, bits)) & 1)
 
 
 def verify_or(bits: Sequence[int], answer: int) -> bool:
