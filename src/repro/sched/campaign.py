@@ -45,6 +45,7 @@ import heapq
 import signal
 import time
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.obs import metrics as _metrics
@@ -95,10 +96,20 @@ class TaskSpec:
 
 @dataclass(frozen=True)
 class Campaign:
-    """A named, validated task graph."""
+    """A named, validated task graph.
+
+    A campaign may be shared: the service's registry hands every
+    submission with the same options the same object.  Its task specs,
+    their ``kwargs`` and its key maps are therefore read-only; nothing
+    in the package writes to them.
+    """
 
     name: str
     tasks: Tuple[TaskSpec, ...]
+    #: store version -> read-only ``{task name: content key}``.
+    _keys: Dict[str, Mapping[str, str]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "tasks", tuple(self.tasks))
@@ -138,6 +149,22 @@ class Campaign:
             if t.name == name:
                 return t
         raise KeyError(name)
+
+    def keys_for(self, store: ResultStore) -> Mapping[str, str]:
+        """Every task's content key under ``store.version``, as a read-only map.
+
+        A key depends only on the task's ``fn`` and ``kwargs`` and the
+        store's version, so the map is computed once per version and every
+        execution of this campaign gets the same one.  Two threads filling
+        the same version compute equal maps; either may be kept.
+        """
+        keys = self._keys.get(store.version)
+        if keys is None:
+            keys = MappingProxyType(
+                {t.name: store.key_for(t.fn, t.kwargs) for t in self.tasks}
+            )
+            self._keys[store.version] = keys
+        return keys
 
 
 @dataclass
@@ -223,10 +250,6 @@ class CampaignReport:
         return "\n".join(lines)
 
 
-def _store_key(store: ResultStore, task: TaskSpec) -> str:
-    return store.key_for(task.fn, task.kwargs)
-
-
 class CampaignExecution:
     """Incremental DAG state machine for one campaign — no pool loop inside.
 
@@ -259,9 +282,7 @@ class CampaignExecution:
         self.labels: Dict[str, str] = dict(labels or {})
         self._progress = progress
         self.tasks: Dict[str, TaskSpec] = {t.name: t for t in campaign.tasks}
-        self.keys: Dict[str, str] = {
-            t.name: _store_key(store, t) for t in campaign.tasks
-        }
+        self.keys: Mapping[str, str] = campaign.keys_for(store)
         self.total = len(self.tasks)
         self.spans: Dict[str, TaskSpan] = {}
         self.outcomes: Dict[str, Dict[str, Any]] = {}
@@ -289,7 +310,10 @@ class CampaignExecution:
                     task.name, self.keys[task.name], "cached", start=now, end=now
                 )
                 hits += 1
-                self._emit(f"[{len(self.outcomes)}/{self.total}] cached {task.name}")
+                if self._progress is not None:
+                    self._progress(
+                        f"[{len(self.outcomes)}/{self.total}] cached {task.name}"
+                    )
         if hits and _metrics.REGISTRY.enabled:
             # One add per job, not per task: the totals are the same.
             self._account("cached", hits)
@@ -691,11 +715,12 @@ def campaign_status(campaign: Campaign, store: ResultStore) -> List[Tuple[str, s
     ``python -m repro campaign status`` prints.  ``inline`` tasks are
     never stored, so their status is always recomputed at run time.
     """
+    keys = campaign.keys_for(store)
     rows: List[Tuple[str, str]] = []
     for task in campaign.tasks:
         if task.inline:
             rows.append((task.name, "inline"))
-        elif store.contains(_store_key(store, task)):
+        elif store.contains(keys[task.name]):
             rows.append((task.name, "done"))
         else:
             rows.append((task.name, "pending"))

@@ -10,10 +10,13 @@ steps a :class:`~repro.sched.campaign.CampaignExecution` on a pool:
 multiplexer with one tenant and one job stepped until that job is
 terminal.
 
-* **Per-tenant queues** — each tenant owns a FIFO of jobs (a job = one
-  submitted :class:`~repro.sched.campaign.Campaign` wrapped in a
-  :class:`~repro.sched.campaign.CampaignExecution`).  Admission and
-  dispatch never look at a global job list, only at per-tenant state.
+* **Live jobs only** — a job is one submitted
+  :class:`~repro.sched.campaign.Campaign` wrapped in a
+  :class:`~repro.sched.campaign.CampaignExecution`.  Admission, activation,
+  dispatch and the gauge pass walk one admission-ordered index of the
+  jobs that have not finished yet, so their cost follows the live jobs,
+  not the service's history.  The table of every job ever admitted is
+  for lookup by id and for the job list only.
 * **Fair-share dispatch** — free pool slots are handed out round-robin
   *across tenants*, one task per turn, so a tenant with a 10 000-task
   campaign and a tenant with a 4-task campaign both keep their frontier
@@ -59,7 +62,7 @@ import functools
 import itertools
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.obs import metrics as _metrics
 from repro.obs import tracing as _tracing
@@ -250,7 +253,11 @@ class FairShareMultiplexer:
         )
         self._progress = progress
         self._lock = threading.RLock()
+        #: Every job ever admitted, for lookup by id and the job list.
         self._jobs: Dict[str, JobRecord] = {}  # insertion-ordered
+        #: Jobs not yet through _finish, in admission order: submit adds,
+        #: _finish removes, and the scheduling passes walk only these.
+        self._live: Dict[str, JobRecord] = {}
         self._job_seq = itertools.count(1)
         #: Round-robin cursor over tenant names for fair-share dispatch.
         self._rr_cursor = 0
@@ -261,6 +268,10 @@ class FairShareMultiplexer:
         #: tenant -> pool tasks currently held (dedup waits excluded); every
         #: tenant that ever submitted has an entry.
         self._tenant_inflight: Dict[str, int] = {}
+        #: Tenants the next gauge pass sets even without a live job: those
+        #: live at the last pass (zeroed once they go idle) and those
+        #: admitted since.
+        self._gauge_tenants: Set[str] = set()
         #: Jobs that reached a terminal state since the last step() drain.
         self._newly_finished: List[JobRecord] = []
         #: Finished jobs not yet released, oldest first.
@@ -304,7 +315,7 @@ class FairShareMultiplexer:
             if self._closed:
                 raise RuntimeError("multiplexer is shut down")
             active = sum(
-                1 for j in self._jobs.values()
+                1 for j in self._live.values()
                 if j.tenant == tenant and not j.terminal
             )
             if active >= self.quota.max_jobs:
@@ -339,7 +350,9 @@ class FairShareMultiplexer:
                     job.trace_id = span.trace_id
                     execution.trace_id = span.trace_id
             self._jobs[job_id] = job
+            self._live[job_id] = job
             self._tenant_inflight.setdefault(tenant, 0)
+            self._gauge_tenants.add(tenant)
             self._tasks_admitted += job.task_count
             if _metrics.REGISTRY.enabled:
                 _metrics.REGISTRY.counter(
@@ -399,7 +412,7 @@ class FairShareMultiplexer:
     def active(self) -> bool:
         """True while any job is non-terminal."""
         with self._lock:
-            return any(not j.terminal for j in self._jobs.values())
+            return any(not j.terminal for j in self._live.values())
 
     # -- scheduler loop (one thread) ----------------------------------------
 
@@ -439,9 +452,10 @@ class FairShareMultiplexer:
         """Stop the pool (if owned); queued/running jobs stay resumable."""
         with self._lock:
             self._closed = True
-            for job in self._jobs.values():
-                if not job.terminal:
-                    self._finish(job, "cancelled")
+            # Queued and running jobs end cancelled; a cancelled job still
+            # draining ends here too, since no step will collect it.
+            for job in tuple(self._live.values()):
+                self._finish(job, "cancelled")
             self._update_gauges()
         if self._owns_pool:
             self.pool.shutdown()
@@ -455,7 +469,7 @@ class FairShareMultiplexer:
 
     def _activate(self, changed: List[JobRecord]) -> None:
         """Move queued jobs to running (their resume pass ran at submit)."""
-        for job in self._jobs.values():
+        for job in tuple(self._live.values()):  # _finish removes from it
             if job.state != "queued":
                 continue
             job.state = "running"
@@ -472,7 +486,7 @@ class FairShareMultiplexer:
     def _dispatch(self) -> None:
         """Fair-share: hand free slots round-robin across tenants."""
         tenants = sorted({
-            j.tenant for j in self._jobs.values() if j.state == "running"
+            j.tenant for j in self._live.values() if j.state == "running"
         })
         if not tenants:
             return
@@ -495,7 +509,7 @@ class FairShareMultiplexer:
         Inline tasks run immediately in the scheduler process and do not
         consume the pool slot this turn.
         """
-        for job in self._jobs.values():
+        for job in tuple(self._live.values()):  # _finish removes from it
             if job.tenant != tenant or job.state != "running":
                 continue
             ex = job.execution
@@ -657,7 +671,9 @@ class FairShareMultiplexer:
             _tracing.TRACER.finish(span, status=status)
 
     def _finish(self, job: JobRecord, state: Optional[str]) -> None:
-        """Move ``job`` to a terminal state and freeze its spans."""
+        """Move ``job`` to a terminal state and freeze its spans (once)."""
+        if self._live.pop(job.id, None) is None:
+            return  # finished already (a shared pool's late drain)
         job.spans = job.execution.finish()
         if state is None:
             ok = all(s.status in ("done", "cached") for s in job.spans)
@@ -688,21 +704,28 @@ class FairShareMultiplexer:
             ).inc(tenant=job.tenant, state=state)
 
     def _update_gauges(self) -> None:
-        """Set the service and campaign gauges in one pass over the jobs.
+        """Set the service and campaign gauges in one pass over the live jobs.
 
         ``campaign status --follow`` reads the campaign gauges; the live
-        ones (frontier, in flight) read 0 once no job is live.
+        ones (frontier, in flight) read 0 once no job is live.  The two
+        per-tenant gauges are set for tenants with an unfinished job, and
+        once more for a tenant that went idle or was admitted since the
+        last pass; an idle tenant's gauges keep reading what that pass set.
         """
         if not _metrics.REGISTRY.enabled:
             return
         registry = _metrics.REGISTRY
-        by_tenant = dict.fromkeys(self._tenant_inflight, 0)
+        by_tenant = dict.fromkeys(self._gauge_tenants, 0)
+        live: Set[str] = set()
         frontier = in_flight = 0
-        for job in self._jobs.values():  # every job ever admitted: keep it cheap
+        for job in self._live.values():
+            live.add(job.tenant)
+            by_tenant.setdefault(job.tenant, 0)
             if job.state not in _TERMINAL:
                 by_tenant[job.tenant] += 1
                 frontier += job.execution.ready_count
                 in_flight += len(job.execution.in_flight)
+        self._gauge_tenants = live
         gauge = registry.gauge(
             "repro_serve_active_jobs", "non-terminal jobs by tenant"
         )

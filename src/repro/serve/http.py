@@ -64,6 +64,11 @@ _KEEPALIVE = 1.0
 _MAX_BODY = 1 << 20
 
 
+def _reject_constant(token: str) -> Any:
+    """``NaN``, ``Infinity`` and ``-Infinity`` are not JSON numbers."""
+    raise ValueError(f"{token} is not valid JSON")
+
+
 class ServeHandler(BaseHTTPRequestHandler):
     """Routes requests onto ``self.server.service``."""
 
@@ -108,7 +113,7 @@ class ServeHandler(BaseHTTPRequestHandler):
             raise ContractError("bad_request", "request body too large", status=413)
         raw = self.rfile.read(length)
         try:
-            return json.loads(raw.decode("utf-8"))
+            return json.loads(raw.decode("utf-8"), parse_constant=_reject_constant)
         except (UnicodeDecodeError, ValueError):
             raise ContractError("bad_request", "request body is not valid JSON")
 

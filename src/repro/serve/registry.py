@@ -12,11 +12,18 @@ are the expensive, curated reproduction runs).
 :func:`default_registry` builds the registry over
 :data:`repro.sched.campaigns.CAMPAIGNS`; a test can pass the service a
 trimmed registry to keep fixtures fast.
+
+Each entry builds a campaign once per set of validated options and hands
+every later submission with the same options that same, read-only
+:class:`~repro.sched.campaign.Campaign` (see :meth:`CampaignEntry.build`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import json
+import math
+import threading
+from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.sched.campaign import Campaign
@@ -24,6 +31,10 @@ from repro.sched.campaigns import build_campaign
 from repro.serve.contracts import ContractError
 
 __all__ = ["OptionSpec", "CampaignEntry", "default_registry"]
+
+#: Campaigns one :class:`CampaignEntry` keeps built, one per set of
+#: validated options; the oldest-inserted is evicted first.
+MEMO_ENTRIES = 16
 
 
 @dataclass(frozen=True)
@@ -34,7 +45,7 @@ class OptionSpec:
     ``None`` means unbounded on that side.  Validation coerces JSON
     numbers (an ``int`` is accepted where a ``float`` is declared, never
     the reverse) and raises :class:`ContractError` (``"bad_option"``) on
-    anything else.
+    anything else, a NaN or an infinite float included.
     """
 
     name: str
@@ -61,7 +72,15 @@ class OptionSpec:
                     "bad_option",
                     f"option {self.name!r} must be a number, got {value!r}",
                 )
-            value = float(value)
+            try:
+                value = float(value)
+            except OverflowError:  # an int beyond the float range
+                value = math.inf
+            if not math.isfinite(value):
+                raise ContractError(
+                    "bad_option",
+                    f"option {self.name!r} must be a finite number, got {value}",
+                )
         if self.minimum is not None and value < self.minimum:
             raise ContractError(
                 "bad_option",
@@ -92,9 +111,27 @@ class CampaignEntry:
     name: str
     summary: str
     options: Tuple[OptionSpec, ...] = ()
+    #: canonical JSON of validated options -> the campaign built for them.
+    _memo: Dict[str, Campaign] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _memo_lock: Any = field(
+        default_factory=threading.Lock, init=False, repr=False, compare=False
+    )
 
     def build(self, options: Mapping[str, Any]) -> Campaign:
-        """Validate ``options`` and build the campaign graph."""
+        """Validate ``options`` and return their campaign graph.
+
+        The graph is built once per set of validated options and kept in
+        this entry's memo (:data:`MEMO_ENTRIES` of them, oldest evicted
+        first), so every submission with the same options shares one
+        read-only campaign and its content keys.  The memo is keyed by the
+        options' canonical JSON, never by value: ``0.0`` and ``-0.0``
+        compare equal but give different content keys, while ``0`` and
+        ``0.0`` for a float option validate to the same ``0.0``.  A lookup
+        is one atomic dict read; filling and eviction hold a lock, since
+        HTTP handler threads build concurrently.
+        """
         known = {spec.name: spec for spec in self.options}
         unknown = sorted(set(options) - set(known))
         if unknown:
@@ -109,7 +146,15 @@ class CampaignEntry:
             for name, spec in known.items()
             if name in options
         }
-        return build_campaign(self.name, **kwargs)
+        memo_key = json.dumps(kwargs, sort_keys=True)
+        campaign = self._memo.get(memo_key)
+        if campaign is None:
+            built = build_campaign(self.name, **kwargs)
+            with self._memo_lock:
+                campaign = self._memo.setdefault(memo_key, built)
+                while len(self._memo) > MEMO_ENTRIES:
+                    del self._memo[next(iter(self._memo))]
+        return campaign
 
     def to_dict(self) -> Dict[str, Any]:
         return {

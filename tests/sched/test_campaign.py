@@ -228,6 +228,23 @@ class TestResume:
         run_campaign(camp, store, jobs=1)
         assert campaign_status(camp, store) == [("a", "done"), ("sum", "inline")]
 
+    def test_keys_are_computed_once_per_store_version(self, tmp_path):
+        camp = Campaign("c", [
+            TaskSpec("a", emit, {"value": 1}),
+            TaskSpec("sum", total, deps=("a",), inline=True),
+        ])
+        stores = [ResultStore(str(tmp_path / name), version=version)
+                  for name, version in (("x", "1"), ("y", "1"), ("z", "2"))]
+        maps = [camp.keys_for(store) for store in stores]
+        assert maps[0] is maps[1]
+        assert maps[2] is not maps[0] and maps[2]["a"] != maps[0]["a"]
+        for store, keys in zip(stores, maps):
+            assert dict(keys) == {
+                t.name: store.key_for(t.fn, t.kwargs) for t in camp.tasks
+            }
+        with pytest.raises(TypeError):
+            maps[0]["a"] = "0" * 64
+
 
 class TestCancel:
     @pytest.mark.parametrize("metrics", [False, True], ids=["plain", "metrics"])

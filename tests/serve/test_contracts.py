@@ -1,5 +1,9 @@
 """The repro.serve/1 wire contracts: round trips, validation, the registry."""
 
+import json
+import sys
+import threading
+
 import pytest
 
 from repro.sched.campaign import Campaign, TaskSpec
@@ -14,7 +18,12 @@ from repro.serve.contracts import (
     job_view,
     jobs_view,
 )
-from repro.serve.registry import CampaignEntry, OptionSpec, default_registry
+from repro.serve.registry import (
+    MEMO_ENTRIES,
+    CampaignEntry,
+    OptionSpec,
+    default_registry,
+)
 
 
 def ok():
@@ -146,3 +155,107 @@ def test_campaign_entry_without_options_rejects_any():
     with pytest.raises(ContractError) as excinfo:
         entry.build({"ns": [64]})
     assert "allowed: (none)" in str(excinfo.value)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 10**400])
+def test_non_finite_options_are_rejected(value):
+    with pytest.raises(ContractError) as excinfo:
+        default_registry()["demo"].build({"delay": value, "points": 2})
+    assert excinfo.value.code == "bad_option"
+    assert "finite" in str(excinfo.value)
+
+
+def test_non_finite_json_option_is_rejected():
+    options = json.loads('{"delay": NaN, "points": 2}')
+    with pytest.raises(ContractError) as excinfo:
+        default_registry()["demo"].build(options)
+    assert excinfo.value.code == "bad_option"
+
+
+# -- the per-entry campaign memo ---------------------------------------------
+
+def test_same_validated_options_build_one_campaign():
+    entry = default_registry()["demo"]
+    campaign = entry.build({"points": 3, "delay": 0.5})
+    assert entry.build({"delay": 0.5, "points": 3}) is campaign
+    assert entry.build({"points": 4, "delay": 0.5}) is not campaign
+
+
+def test_memo_keys_by_spelling_not_by_value(tmp_path):
+    """``0`` validates to ``0.0`` and shares its entry; ``-0.0`` equals
+    ``0.0`` but has other content keys, so it gets its own campaign."""
+    store = ResultStore(str(tmp_path / "store"))
+    entry = default_registry()["demo"]
+    zero = entry.build({"points": 2, "delay": 0.0})
+    assert entry.build({"points": 2, "delay": 0}) is zero
+    negative = entry.build({"points": 2, "delay": -0.0})
+    assert negative is not zero
+    zero_keys, negative_keys = zero.keys_for(store), negative.keys_for(store)
+    for name in ("demo/point-00", "demo/point-01"):
+        assert zero_keys[name] != negative_keys[name]
+
+
+def test_cached_keys_are_the_stores_keys(tmp_path):
+    store = ResultStore(str(tmp_path / "store"))
+    for name, options in (("demo", {"points": 5}), ("table1", {})):
+        campaign = default_registry()[name].build(options)
+        keys = campaign.keys_for(store)
+        assert keys is campaign.keys_for(ResultStore(str(tmp_path / "other")))
+        assert dict(keys) == {
+            t.name: store.key_for(t.fn, t.kwargs) for t in campaign.tasks
+        }
+        with pytest.raises(TypeError):
+            keys[campaign.tasks[0].name] = "0" * 64
+
+
+def test_memo_is_bounded_and_an_evicted_campaign_rebuilds_equal(tmp_path):
+    store = ResultStore(str(tmp_path / "store"))
+    entry = default_registry()["demo"]
+    first = entry.build({"points": 1})
+    first_keys = dict(first.keys_for(store))
+    for points in range(2, MEMO_ENTRIES + 2):
+        entry.build({"points": points})
+    assert len(entry._memo) == MEMO_ENTRIES
+    rebuilt = entry.build({"points": 1})
+    assert rebuilt is not first
+    assert rebuilt == first
+    assert dict(rebuilt.keys_for(store)) == first_keys
+    assert len(entry._memo) == MEMO_ENTRIES
+
+
+def test_registries_never_share_a_campaign():
+    options = {"points": 2, "delay": 0.0}
+    assert (default_registry()["demo"].build(options)
+            is not default_registry()["demo"].build(options))
+
+
+def test_concurrent_builds_raise_nothing():
+    """Threads building the same and different option sets each get the
+    campaign of their own options, and the bound holds."""
+    entry = default_registry()["demo"]
+    errors, built = [], []
+
+    def worker(i):
+        try:
+            for j in range(50):
+                points = 1 + (i * j) % 24
+                built.append((points, entry.build({"points": points})))
+                built.append((2, entry.build({"points": 2, "delay": 0.0})))
+        except Exception as exc:  # pragma: no cover - the failure report
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(built) == 8 * 50 * 2
+    assert all(len(c.tasks) == points + 1 for points, c in built)
+    assert len(entry._memo) <= MEMO_ENTRIES

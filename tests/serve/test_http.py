@@ -276,3 +276,20 @@ def test_job_view_trace_id_null_without_tracing(server):
     client = client_for(server, tenant="alice")
     job = client.submit("demo", {"points": 2, "delay": 0.0})
     assert "trace_id" in job and job["trace_id"] is None
+
+
+@pytest.mark.parametrize("token", [b"NaN", b"Infinity", b"-Infinity"])
+def test_non_json_number_tokens_are_rejected(server, token):
+    host, port = server.server_address[:2]
+    body = (b'{"schema": "repro.serve/1", "campaign": "demo", '
+            b'"options": {"points": 2, "delay": ' + token + b'}}')
+    req = urllib.request.Request(
+        f"http://{host}:{port}/v1/jobs", data=body,
+        headers={"Content-Type": "application/json"}, method="POST",
+    )
+    with pytest.raises(urllib.error.HTTPError) as excinfo:
+        urllib.request.urlopen(req)
+    assert excinfo.value.code == 400
+    payload = json.loads(excinfo.value.read().decode("utf-8"))
+    assert payload["error"]["code"] == "bad_request"
+    assert client_for(server).jobs() == []

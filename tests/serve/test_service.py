@@ -355,6 +355,202 @@ def test_fully_cached_resubmission_after_releases(mux, monkeypatch):
     assert later.state == "done"
 
 
+# -- the live-job index: work follows live jobs, not history -----------------
+
+class CountingJobs(dict):
+    """A job table that counts the records its ``values()`` walks yield."""
+
+    def __init__(self, jobs):
+        super().__init__(jobs)
+        self.reads = 0
+
+    def values(self):
+        for job in super().values():
+            self.reads += 1
+            yield job
+
+
+def stored_table1(store):
+    """The stock table1 campaign with every stored task already in ``store``."""
+    from repro.serve.registry import default_registry
+
+    campaign = default_registry()["table1"].build({})
+    for task in campaign.tasks:
+        if not task.inline:
+            store.put(store.key_for(task.fn, task.kwargs), {"correct": True},
+                      spec=task.spec_dict())
+    return campaign
+
+
+def assert_live_index(mux):
+    """The index holds exactly the jobs not yet finished, in admission order."""
+    assert list(mux._live) == [j.id for j in mux.jobs() if not j.finished]
+
+
+def test_a_cached_job_reads_as_many_job_records_whatever_the_history(
+    tmp_path, metrics_on
+):
+    """Submitting and stepping a cached table1 job walks the live jobs
+    only: 10 or 2,000 finished jobs behind it read the same records."""
+    reads = {}
+    for history in (10, 2000):
+        store = ResultStore(str(tmp_path / f"store-{history}"))
+        table1 = stored_table1(store)
+        tiny = Campaign("tiny", (TaskSpec("a", emit, kwargs={"value": 1}),))
+        store.put(store.key_for(emit, {"value": 1}), {"value": 1, "correct": True})
+        mux = FairShareMultiplexer(store, jobs=1)
+        try:
+            for i in range(history):
+                job = mux.submit(f"t{i % 4}", tiny)
+                while not job.terminal:
+                    mux.step(wait=0)
+            assert len(mux.jobs()) == history
+            mux._jobs, mux._live = CountingJobs(mux._jobs), CountingJobs(mux._live)
+            job = mux.submit("t0", table1)
+            while not job.terminal:
+                mux.step(wait=0)
+            assert job.counts() == {"cached": 81, "done": 4}
+            reads[history] = mux._jobs.reads + mux._live.reads
+        finally:
+            mux.shutdown()
+    assert reads[10] == reads[2000], reads
+
+
+def test_the_live_index_holds_exactly_the_unfinished_jobs(mux, monkeypatch):
+    """Across admission, dispatch, cached finishes, cancel, drain and
+    release, the index never holds a finished job nor misses a live one."""
+    monkeypatch.setattr(tenancy, "DETAILED_JOBS", 1)
+    jobs = [
+        mux.submit("alice", fanout("alice", 3, delay=0.05)),
+        mux.submit("bob", shared(2)),
+        mux.submit("carol", fanout("carol", 4, delay=0.2)),
+    ]
+    assert_live_index(mux)
+    queued = mux.submit("alice", fanout("alice", 2, name="late"))
+    mux.cancel(queued.id)  # queued: finishes at once
+    assert_live_index(mux)
+    deadline = time.monotonic() + 20
+    while not jobs[2].execution.in_flight and time.monotonic() < deadline:
+        mux.step(wait=0.05)
+        assert_live_index(mux)
+    mux.cancel(jobs[2].id)  # running: drains in later steps
+    assert jobs[2].id in mux._live
+    jobs.append(mux.submit("dave", shared(2)))  # fully cached by now
+    while mux._live and time.monotonic() < deadline:
+        mux.step(wait=0.05)
+        assert_live_index(mux)
+    assert not mux._live
+    assert [j.state for j in jobs] == ["done", "done", "cancelled", "done"]
+    assert jobs[0].execution is None  # released, and not in the index
+
+
+def test_shutdown_finishes_every_live_job_a_draining_one_too(mux):
+    """Shutdown ends queued, running and still-draining jobs alike, so the
+    index is empty and every job's spans are frozen."""
+    draining = mux.submit("alice", fanout("alice", 2, delay=0.5))
+    deadline = time.monotonic() + 20
+    while not draining.execution.in_flight and time.monotonic() < deadline:
+        mux.step(wait=0.05)
+    mux.cancel(draining.id)
+    running = mux.submit("bob", fanout("bob", 2, delay=0.5))
+    mux.step(wait=0)
+    queued = mux.submit("carol", fanout("carol", 2))
+    assert len(mux._live) == 3
+    mux.shutdown()
+    assert not mux._live
+    for job in (draining, running, queued):
+        assert job.state == "cancelled"
+        assert job.finished and len(job.spans) == 2
+    assert queued.counts() == {"pending": 2}
+
+
+def test_idle_tenants_gauges_are_zeroed_once_and_stay_zero(
+    store, metrics_on, monkeypatch
+):
+    """With 1,000 idle tenants, a step sets the per-tenant gauges of the
+    live tenant only; every idle tenant reads 0 in every later snapshot,
+    and every tenant reads what a pass over all of them would set."""
+    from repro.obs import metrics
+    from repro.obs.snapshot import MetricsSnapshot
+
+    registry = metrics.REGISTRY
+    names = ("repro_serve_active_jobs", "repro_serve_tenant_in_flight")
+    tiny = Campaign("tiny", (TaskSpec("a", emit, kwargs={"value": 7}),))
+    store.put(store.key_for(emit, {"value": 7}), {"value": 7, "correct": True})
+    mux = FairShareMultiplexer(store, jobs=1)
+    idle = [f"idle-{i:04d}" for i in range(1000)]
+
+    def gauges_of(snapshot, tenant):
+        return {
+            m["name"]: s["value"] for m in snapshot.metrics if m["name"] in names
+            for s in m["samples"] if s["labels"].get("tenant") == tenant
+        }
+
+    def check_every_tenant():
+        for tenant in mux._tenant_inflight:
+            active = sum(1 for j in mux.jobs(tenant) if not j.terminal)
+            assert registry.gauge(names[0]).value(tenant=tenant) == active
+            assert (registry.gauge(names[1]).value(tenant=tenant)
+                    == mux._tenant_inflight[tenant])
+
+    try:
+        for tenant in idle:
+            job = mux.submit(tenant, tiny)
+            mux.step(wait=0)
+            assert job.state == "done"
+        live = mux.submit("busy", fanout("busy", 3, delay=0.2))
+        set_for = []
+        real_set = metrics.Gauge.set
+
+        def recording_set(gauge, value, **labels):
+            if gauge.name in names:
+                set_for.append(labels["tenant"])
+            return real_set(gauge, value, **labels)
+
+        monkeypatch.setattr(metrics.Gauge, "set", recording_set)
+        snapshots = []
+        while not live.terminal:
+            set_for.clear()
+            mux.step(wait=0.05)
+            assert set(set_for) <= {"busy"}, sorted(set(set_for))[:5]
+            check_every_tenant()
+            snapshots.append(MetricsSnapshot.capture())
+        mux.step(wait=0)  # "busy" went idle: zeroed once
+        snapshots.append(MetricsSnapshot.capture())
+        assert set(set_for) == {"busy"}
+        check_every_tenant()
+        for snapshot in snapshots:
+            for tenant in idle[::97]:
+                assert gauges_of(snapshot, tenant) == dict.fromkeys(names, 0.0)
+        assert gauges_of(snapshots[-1], "busy") == dict.fromkeys(names, 0.0)
+    finally:
+        mux.shutdown()
+
+
+def test_memoized_campaign_runs_leave_its_specs_as_built(mux):
+    """Two runs of one shared registry campaign write nothing into it:
+    every task's kwargs still equal a fresh build's, and the key map is
+    read-only."""
+    from repro.serve.registry import default_registry
+
+    entry = default_registry()["demo"]
+    campaign = entry.build({"points": 3, "delay": 0})
+    first = mux.submit("alice", campaign)
+    drive(mux)
+    second = mux.submit("bob", entry.build({"points": 3, "delay": 0.0}))
+    drive(mux)
+    assert second.campaign is campaign
+    assert first.counts() == {"done": 4}
+    assert second.counts() == {"cached": 3, "done": 1}
+    assert second.execution.keys is first.execution.keys
+    with pytest.raises(TypeError):
+        first.execution.keys["demo/point-00"] = "0" * 64
+    fresh = default_registry()["demo"].build({"points": 3, "delay": 0})
+    assert fresh is not campaign
+    assert [t.kwargs for t in campaign.tasks] == [t.kwargs for t in fresh.tasks]
+    assert campaign.keys_for(mux.store) == fresh.keys_for(mux.store)
+
+
 # -- the threaded service ----------------------------------------------------
 
 def demo_request(points=3, delay=0.0):
