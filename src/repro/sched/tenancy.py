@@ -268,9 +268,9 @@ class FairShareMultiplexer:
         #: tenant -> pool tasks currently held (dedup waits excluded); every
         #: tenant that ever submitted has an entry.
         self._tenant_inflight: Dict[str, int] = {}
-        #: Tenants the next gauge pass sets even without a live job: those
-        #: live at the last pass (zeroed once they go idle) and those
-        #: admitted since.
+        #: Tenants the next gauge pass sets: those live at the last pass
+        #: (zeroed once they go idle) and those admitted since, so every
+        #: tenant with a live job is in it.
         self._gauge_tenants: Set[str] = set()
         #: Jobs that reached a terminal state since the last step() drain.
         self._newly_finished: List[JobRecord] = []
@@ -720,7 +720,6 @@ class FairShareMultiplexer:
         frontier = in_flight = 0
         for job in self._live.values():
             live.add(job.tenant)
-            by_tenant.setdefault(job.tenant, 0)
             if job.state not in _TERMINAL:
                 by_tenant[job.tenant] += 1
                 frontier += job.execution.ready_count

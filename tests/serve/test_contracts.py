@@ -157,7 +157,10 @@ def test_campaign_entry_without_options_rejects_any():
     assert "allowed: (none)" in str(excinfo.value)
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 10**400])
+@pytest.mark.parametrize(
+    "value", [float("nan"), float("inf"), float("-inf"), 10**400],
+    ids=["nan", "inf", "-inf", "int-past-float"],
+)
 def test_non_finite_options_are_rejected(value):
     with pytest.raises(ContractError) as excinfo:
         default_registry()["demo"].build({"delay": value, "points": 2})

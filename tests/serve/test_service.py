@@ -435,13 +435,14 @@ def test_the_live_index_holds_exactly_the_unfinished_jobs(mux, monkeypatch):
         assert_live_index(mux)
     mux.cancel(jobs[2].id)  # running: drains in later steps
     assert jobs[2].id in mux._live
-    jobs.append(mux.submit("dave", shared(2)))  # fully cached by now
+    jobs.append(mux.submit("dave", shared(2)))  # bob's keys: cached or parked
     while mux._live and time.monotonic() < deadline:
         mux.step(wait=0.05)
         assert_live_index(mux)
     assert not mux._live
     assert [j.state for j in jobs] == ["done", "done", "cancelled", "done"]
-    assert jobs[0].execution is None  # released, and not in the index
+    released = [j for j in mux.jobs() if j.execution is None]
+    assert len(released) == len(mux.jobs()) - 1  # all but the last finished
 
 
 def test_shutdown_finishes_every_live_job_a_draining_one_too(mux):
@@ -515,9 +516,11 @@ def test_idle_tenants_gauges_are_zeroed_once_and_stay_zero(
             assert set(set_for) <= {"busy"}, sorted(set(set_for))[:5]
             check_every_tenant()
             snapshots.append(MetricsSnapshot.capture())
-        mux.step(wait=0)  # "busy" went idle: zeroed once
+        assert set(set_for) == {"busy"}  # zeroed by the step it went idle in
+        set_for.clear()
+        mux.step(wait=0)
         snapshots.append(MetricsSnapshot.capture())
-        assert set(set_for) == {"busy"}
+        assert set_for == []  # and not set again
         check_every_tenant()
         for snapshot in snapshots:
             for tenant in idle[::97]:
