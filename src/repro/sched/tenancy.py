@@ -62,7 +62,7 @@ import functools
 import itertools
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, List, Mapping, Optional, Set, Tuple
+from typing import Any, Callable, Deque, Dict, List, Mapping, Optional, Tuple
 
 from repro.obs import metrics as _metrics
 from repro.obs import tracing as _tracing
@@ -268,10 +268,6 @@ class FairShareMultiplexer:
         #: tenant -> pool tasks currently held (dedup waits excluded); every
         #: tenant that ever submitted has an entry.
         self._tenant_inflight: Dict[str, int] = {}
-        #: Tenants the next gauge pass sets: those live at the last pass
-        #: (zeroed once they go idle) and those admitted since, so every
-        #: tenant with a live job is in it.
-        self._gauge_tenants: Set[str] = set()
         #: Jobs that reached a terminal state since the last step() drain.
         self._newly_finished: List[JobRecord] = []
         #: Finished jobs not yet released, oldest first.
@@ -352,7 +348,6 @@ class FairShareMultiplexer:
             self._jobs[job_id] = job
             self._live[job_id] = job
             self._tenant_inflight.setdefault(tenant, 0)
-            self._gauge_tenants.add(tenant)
             self._tasks_admitted += job.task_count
             if _metrics.REGISTRY.enabled:
                 _metrics.REGISTRY.counter(
@@ -707,24 +702,18 @@ class FairShareMultiplexer:
         """Set the service and campaign gauges in one pass over the live jobs.
 
         ``campaign status --follow`` reads the campaign gauges; the live
-        ones (frontier, in flight) read 0 once no job is live.  The two
-        per-tenant gauges are set for tenants with an unfinished job, and
-        once more for a tenant that went idle or was admitted since the
-        last pass; an idle tenant's gauges keep reading what that pass set.
+        ones (frontier, in flight) read 0 once no job is live.
         """
         if not _metrics.REGISTRY.enabled:
             return
         registry = _metrics.REGISTRY
-        by_tenant = dict.fromkeys(self._gauge_tenants, 0)
-        live: Set[str] = set()
+        by_tenant = dict.fromkeys(self._tenant_inflight, 0)
         frontier = in_flight = 0
         for job in self._live.values():
-            live.add(job.tenant)
             if job.state not in _TERMINAL:
                 by_tenant[job.tenant] += 1
                 frontier += job.execution.ready_count
                 in_flight += len(job.execution.in_flight)
-        self._gauge_tenants = live
         gauge = registry.gauge(
             "repro_serve_active_jobs", "non-terminal jobs by tenant"
         )

@@ -465,71 +465,6 @@ def test_shutdown_finishes_every_live_job_a_draining_one_too(mux):
     assert queued.counts() == {"pending": 2}
 
 
-def test_idle_tenants_gauges_are_zeroed_once_and_stay_zero(
-    store, metrics_on, monkeypatch
-):
-    """With 1,000 idle tenants, a step sets the per-tenant gauges of the
-    live tenant only; every idle tenant reads 0 in every later snapshot,
-    and every tenant reads what a pass over all of them would set."""
-    from repro.obs import metrics
-    from repro.obs.snapshot import MetricsSnapshot
-
-    registry = metrics.REGISTRY
-    names = ("repro_serve_active_jobs", "repro_serve_tenant_in_flight")
-    tiny = Campaign("tiny", (TaskSpec("a", emit, kwargs={"value": 7}),))
-    store.put(store.key_for(emit, {"value": 7}), {"value": 7, "correct": True})
-    mux = FairShareMultiplexer(store, jobs=1)
-    idle = [f"idle-{i:04d}" for i in range(1000)]
-
-    def gauges_of(snapshot, tenant):
-        return {
-            m["name"]: s["value"] for m in snapshot.metrics if m["name"] in names
-            for s in m["samples"] if s["labels"].get("tenant") == tenant
-        }
-
-    def check_every_tenant():
-        for tenant in mux._tenant_inflight:
-            active = sum(1 for j in mux.jobs(tenant) if not j.terminal)
-            assert registry.gauge(names[0]).value(tenant=tenant) == active
-            assert (registry.gauge(names[1]).value(tenant=tenant)
-                    == mux._tenant_inflight[tenant])
-
-    try:
-        for tenant in idle:
-            job = mux.submit(tenant, tiny)
-            mux.step(wait=0)
-            assert job.state == "done"
-        live = mux.submit("busy", fanout("busy", 3, delay=0.2))
-        set_for = []
-        real_set = metrics.Gauge.set
-
-        def recording_set(gauge, value, **labels):
-            if gauge.name in names:
-                set_for.append(labels["tenant"])
-            return real_set(gauge, value, **labels)
-
-        monkeypatch.setattr(metrics.Gauge, "set", recording_set)
-        snapshots = []
-        while not live.terminal:
-            set_for.clear()
-            mux.step(wait=0.05)
-            assert set(set_for) <= {"busy"}, sorted(set(set_for))[:5]
-            check_every_tenant()
-            snapshots.append(MetricsSnapshot.capture())
-        assert set(set_for) == {"busy"}  # zeroed by the step it went idle in
-        set_for.clear()
-        mux.step(wait=0)
-        snapshots.append(MetricsSnapshot.capture())
-        assert set_for == []  # and not set again
-        check_every_tenant()
-        for snapshot in snapshots:
-            for tenant in idle[::97]:
-                assert gauges_of(snapshot, tenant) == dict.fromkeys(names, 0.0)
-        assert gauges_of(snapshots[-1], "busy") == dict.fromkeys(names, 0.0)
-    finally:
-        mux.shutdown()
-
-
 def test_memoized_campaign_runs_leave_its_specs_as_built(mux):
     """Two runs of one shared registry campaign write nothing into it:
     every task's kwargs still equal a fresh build's, and the key map is
