@@ -24,8 +24,9 @@ The layering, bottom up:
 * :mod:`repro.serve.sse` — SSE framing: the writer-side formatter and a
   torn-frame-tolerant parser mirroring
   :func:`repro.obs.snapshot.read_snapshots`.
-* :mod:`repro.serve.http` — the stdlib ``ThreadingHTTPServer`` front end
-  mapping routes onto the service.
+* :mod:`repro.serve.http` — the stdlib ``HTTPServer`` front end mapping
+  routes onto the service, with handler threads reused across
+  connections.
 * :mod:`repro.serve.ui` — the single-file HTML dashboard served at ``/``.
 * :mod:`repro.serve.client` — the thin urllib client behind
   ``python -m repro serve submit|watch``.

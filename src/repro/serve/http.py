@@ -1,8 +1,11 @@
 """The stdlib HTTP front end for :class:`~repro.serve.service.CampaignService`.
 
-``ThreadingHTTPServer`` + ``BaseHTTPRequestHandler`` — no frameworks.
-Each handler thread does contract work only (parse, validate, respond);
-all scheduling stays on the service's single scheduler thread, which the
+``HTTPServer`` + ``BaseHTTPRequestHandler`` — no frameworks.  Each
+connection is served by one handler thread, and handler threads are
+reused: the accept loop hands a connection to an idle thread and starts
+a new one only when none is idle (:class:`ReusingHTTPServer`).  A
+handler thread does contract work only (parse, validate, respond); all
+scheduling stays on the service's single scheduler thread, which the
 handlers reach through the multiplexer's lock-safe calls.  Routes:
 
 ======  ==============================  =======================================
@@ -37,8 +40,10 @@ tasks drain into the store, so a resubmission resumes (docs/SERVICE.md,
 from __future__ import annotations
 
 import json
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, Optional, Tuple
+import queue
+import threading
+from http.server import BaseHTTPRequestHandler, HTTPServer
+from typing import Any, Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
 from repro.obs import tracing as _tracing
@@ -52,7 +57,7 @@ from repro.serve.service import CampaignService
 from repro.serve.sse import format_sse_event
 from repro.serve.ui import DASHBOARD_HTML
 
-__all__ = ["ServeHandler", "create_server", "serve_forever"]
+__all__ = ["ReusingHTTPServer", "ServeHandler", "create_server", "serve_forever"]
 
 #: Seconds between keep-alive comments on an idle SSE stream.  Also the
 #: disconnect-detection latency: a dead socket only surfaces on a write,
@@ -81,6 +86,14 @@ class ServeHandler(BaseHTTPRequestHandler):
 
     # -- plumbing ------------------------------------------------------------
 
+    def handle(self) -> None:
+        try:
+            super().handle()
+        except ConnectionError:
+            # The client left before its reply was written; there is
+            # nobody to answer and nothing to report.
+            self.close_connection = True
+
     def log_message(self, format: str, *args: Any) -> None:
         log = getattr(self.server, "log", None)
         if log is not None:
@@ -105,13 +118,35 @@ class ServeHandler(BaseHTTPRequestHandler):
     def _send_error(self, exc: ContractError) -> None:
         self._send_json(exc.to_dict(), status=exc.status)
 
-    def _read_json(self) -> Any:
-        length = int(self.headers.get("Content-Length", 0) or 0)
-        if length <= 0:
+    def _content_length(self) -> int:
+        """The body's length: one ``Content-Length`` of ASCII digits."""
+        values = {v.strip(" \t") for v in self.headers.get_all("Content-Length", [])}
+        if len(values) > 1:
+            raise ContractError("bad_request", "conflicting Content-Length headers")
+        value = values.pop() if values else "0"
+        if not (value.isascii() and value.isdigit()):
+            raise ContractError("bad_request", "Content-Length is not a decimal number")
+        length = int(value)
+        if length == 0:
             raise ContractError("bad_request", "request body required")
         if length > _MAX_BODY:
             raise ContractError("bad_request", "request body too large", status=413)
+        return length
+
+    def _read_json(self) -> Any:
+        try:
+            length = self._content_length()
+        except ContractError:
+            # The body stays unread: end the connection after the reply
+            # rather than parse the body as the next request.
+            self.close_connection = True
+            raise
         raw = self.rfile.read(length)
+        if len(raw) < length:
+            raise ContractError(
+                "bad_request",
+                f"request body ended after {len(raw)} of {length} bytes",
+            )
         try:
             return json.loads(raw.decode("utf-8"), parse_constant=_reject_constant)
         except (UnicodeDecodeError, ValueError):
@@ -250,21 +285,81 @@ class ServeHandler(BaseHTTPRequestHandler):
             self.close_connection = True
 
 
+class ReusingHTTPServer(HTTPServer):
+    """An ``HTTPServer`` whose handler threads outlive their connections.
+
+    The accept loop hands each connection to an idle handler thread and
+    starts a new (daemon) thread only when none is idle, so a thread's
+    start and teardown are paid once per peak open connection instead of
+    once per request.  A thread serves one connection at a time: a long
+    SSE stream keeps its thread and delays no other request.  A thread
+    rejoins the idle list before it closes its connection, so a client
+    that has seen one connection end gets the same thread for its next.
+    :meth:`server_close` ends and joins the idle threads; a busy thread
+    ends when its connection does.
+    """
+
+    def __init__(self, server_address: Tuple[str, int], handler: Any) -> None:
+        super().__init__(server_address, handler)
+        self._lock = threading.Lock()
+        #: Each idle thread with the inbox it waits on for a connection.
+        self._idle: List[Tuple[threading.Thread, "queue.SimpleQueue[Any]"]] = []
+        self._closed = False
+
+    def process_request(self, request: Any, client_address: Any) -> None:
+        with self._lock:
+            idle = self._idle.pop() if self._idle else None
+        if idle is not None:
+            _, inbox = idle
+            inbox.put((request, client_address))
+            return
+        threading.Thread(
+            target=self._serve_connections, args=(request, client_address),
+            name="repro-serve-http", daemon=True,
+        ).start()
+
+    def _serve_connections(self, request: Any, client_address: Any) -> None:
+        inbox: "queue.SimpleQueue[Any]" = queue.SimpleQueue()
+        while True:
+            try:
+                self.finish_request(request, client_address)
+            except Exception:
+                self.handle_error(request, client_address)
+            with self._lock:
+                closed = self._closed
+                if not closed:
+                    self._idle.append((threading.current_thread(), inbox))
+            self.shutdown_request(request)
+            item = None if closed else inbox.get()
+            if item is None:
+                return
+            request, client_address = item
+
+    def server_close(self) -> None:
+        super().server_close()
+        with self._lock:
+            self._closed = True
+            idle, self._idle = self._idle, []
+        for _, inbox in idle:
+            inbox.put(None)
+        for thread, _ in idle:
+            thread.join()
+
+
 def create_server(
     service: CampaignService,
     host: str = "127.0.0.1",
     port: int = 0,
     log: Optional[Any] = None,
-) -> ThreadingHTTPServer:
-    """Bind a threading server wired to ``service`` (port 0 = ephemeral)."""
-    server = ThreadingHTTPServer((host, port), ServeHandler)
-    server.daemon_threads = True
+) -> ReusingHTTPServer:
+    """Bind a server wired to ``service`` (port 0 = ephemeral)."""
+    server = ReusingHTTPServer((host, port), ServeHandler)
     server.service = service  # type: ignore[attr-defined]
     server.log = log  # type: ignore[attr-defined]
     return server
 
 
-def serve_forever(server: ThreadingHTTPServer) -> None:
+def serve_forever(server: ReusingHTTPServer) -> None:
     """Run until interrupted, then stop the service cleanly."""
     service: CampaignService = server.service  # type: ignore[attr-defined]
     service.start()

@@ -343,14 +343,19 @@ class CampaignService:
         )
 
     def _broadcast_job(self, job: JobRecord) -> None:
-        data, done = self._job_event(job)
+        """Push ``job``'s event to its receivers; render it only if any.
+
+        A subscriber that registers after the receivers are read primes
+        itself from a state no older than this broadcast's, so it loses
+        nothing by being left out.
+        """
         with self._subs_lock:
-            subs = list(self._subs)
+            subs = [s for s in self._subs if s.job_id in (None, job.id)]
+        if not subs:
+            return
+        data, done = self._job_event(job)
         for sub in subs:
-            if sub.job_id is None:
-                sub.push("job", data)
-            elif sub.job_id == job.id:
-                sub.push("job", data, done=done)
+            sub.push("job", data, done=done and sub.job_id is not None)
 
     def _broadcast_snapshot(self, final: bool = False) -> None:
         """Capture a snapshot for the ``--metrics`` file and every global

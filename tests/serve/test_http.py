@@ -1,6 +1,9 @@
 """The HTTP front end, end to end on an ephemeral port: routes, SSE, errors."""
 
+import contextlib
 import json
+import socket
+import struct
 import threading
 import time
 import urllib.request
@@ -293,3 +296,169 @@ def test_non_json_number_tokens_are_rejected(server, token):
     payload = json.loads(excinfo.value.read().decode("utf-8"))
     assert payload["error"]["code"] == "bad_request"
     assert client_for(server).jobs() == []
+
+
+# -- handler threads and raw request bodies -----------------------------------
+
+SUBMIT = b'{"schema": "repro.serve/1", "campaign": "demo"}'
+HEALTHZ = b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n"
+
+
+@contextlib.contextmanager
+def running_server(tmp_path):
+    """A served ``create_server`` that has taken no connection yet; on exit,
+    ``serve_forever`` returns and runs ``server_close`` and ``service.stop``."""
+    service = CampaignService(
+        str(tmp_path / "store"), jobs=1, snapshot_interval=10.0
+    )
+    srv = create_server(service, port=0)
+    thread = threading.Thread(target=serve_forever, args=(srv,), daemon=True)
+    thread.start()
+    try:
+        yield srv
+    finally:
+        srv.shutdown()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+
+
+def handler_threads():
+    return {t for t in threading.enumerate() if t.name == "repro-serve-http"}
+
+
+def read_to_end(sock):
+    """Everything the server sends until it ends the connection."""
+    chunks = []
+    try:
+        while True:
+            block = sock.recv(65536)
+            if not block:
+                break
+            chunks.append(block)
+    except ConnectionResetError:
+        pass  # closed with part of a bad body unread; the reply came first
+    return b"".join(chunks)
+
+
+def exchange(server, request):
+    """Send ``request``, half-close, and read the reply to the end."""
+    with socket.create_connection(server.server_address[:2], timeout=10) as sock:
+        sock.sendall(request)
+        sock.shutdown(socket.SHUT_WR)
+        return read_to_end(sock)
+
+
+def post(headers, body):
+    return (b"POST /v1/jobs HTTP/1.1\r\nHost: t\r\n"
+            b"Content-Type: application/json\r\n" + headers + b"\r\n" + body)
+
+
+def error_code(reply):
+    head, _, body = reply.partition(b"\r\n\r\n")
+    assert head, "the server closed the connection without a reply"
+    return int(head.split()[1]), json.loads(body)["error"]["code"]
+
+
+def test_open_event_streams_do_not_starve_a_submit(server):
+    """Each open SSE stream holds a handler thread; a submit and its watch
+    still get threads of their own."""
+    client = client_for(server, tenant="alice")
+    streams = []
+    try:
+        for _ in range(16):
+            streams.append(client._request("/v1/events", timeout=10))
+        job = client.submit("demo", {"points": 2, "delay": 0.0})
+        assert client.wait(job["id"], timeout=30)["state"] == "done"
+    finally:
+        for resp in streams:
+            resp.close()
+
+
+def test_handler_threads_are_reused_and_end_at_server_close(tmp_path):
+    before = handler_threads()
+    with running_server(tmp_path) as srv:
+        address = srv.server_address[:2]
+        # Three keep-alive connections open at once hold three threads.
+        socks = [socket.create_connection(address, timeout=10) for _ in range(3)]
+        for sock in socks:
+            sock.sendall(HEALTHZ)
+            reply = b""
+            while not reply.endswith(b"\r\n\r\nok\n"):
+                reply += sock.recv(65536)
+        threads = handler_threads() - before
+        assert len(threads) == 3
+        for sock in socks:
+            sock.shutdown(socket.SHUT_WR)
+            assert read_to_end(sock) == b""
+            sock.close()
+        # A connection that has ended left its thread idle; later
+        # connections reuse it instead of starting another.
+        for _ in range(5):
+            assert exchange(srv, HEALTHZ).endswith(b"\r\n\r\nok\n")
+        assert handler_threads() - before == threads
+    assert not any(t.is_alive() for t in threads)
+
+
+def test_a_handler_that_raises_leaves_its_thread_serving(server, monkeypatch, capsys):
+    calls = []
+
+    def workers():
+        calls.append(1)
+        if len(calls) == 1:
+            raise RuntimeError("planted handler fault")
+        return {"schema": "repro.serve/1", "workers": [], "live": 0}
+
+    monkeypatch.setattr(server.service, "workers", workers)
+    client = client_for(server)
+    with pytest.raises(ConnectionError):
+        client.workers()
+    assert "planted handler fault" in capsys.readouterr().err
+    # The failed connection ended after its thread went idle again, so
+    # the next request is served on that thread.
+    threads = handler_threads()
+    assert client.workers()["live"] == 0
+    assert handler_threads() <= threads
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("headers", [
+    b"Content-Length: abc\r\n",
+    b"Content-Length: 5_0\r\n",
+    b"Content-Length: +50\r\n",
+    b"Content-Length: 50 50\r\n",
+    "Content-Length: \u0665\u0660\r\n".encode("utf-8"),  # Arabic-Indic 50
+    b"Content-Length: 50\r\nContent-Length: 51\r\n",
+], ids=["letters", "underscore", "plus", "two-numbers", "non-ascii", "conflicting"])
+def test_a_bad_content_length_is_a_400(server, headers):
+    # A body of 50 bytes, which is what int() makes of the numeric ones.
+    reply = exchange(server, post(headers, SUBMIT.ljust(50)))
+    assert error_code(reply) == (400, "bad_request")
+    assert client_for(server).jobs(all_tenants=True) == []
+
+
+def test_a_body_that_ends_early_is_a_400(server):
+    headers = b"Content-Length: %d\r\n" % (len(SUBMIT) + 10)
+    reply = exchange(server, post(headers, SUBMIT))
+    assert error_code(reply) == (400, "bad_request")
+    assert client_for(server).jobs(all_tenants=True) == []
+
+
+def test_a_client_gone_before_its_reply_leaves_no_traceback(tmp_path, capsys):
+    with running_server(tmp_path) as srv:
+        finished = threading.Event()
+        shutdown_request = srv.shutdown_request
+
+        def shutdown_and_note(request):
+            shutdown_request(request)
+            finished.set()
+
+        srv.shutdown_request = shutdown_and_note
+        sock = socket.create_connection(srv.server_address[:2], timeout=10)
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        sock.sendall(post(b"Content-Length: 100\r\n", SUBMIT[:20]))
+        sock.close()  # linger 0: a reset, the client is gone
+        assert finished.wait(10), "the connection was never finished"
+        assert "Traceback" not in capsys.readouterr().err
+        client = client_for(srv)
+        assert client.healthy()
+        assert client.jobs(all_tenants=True) == []

@@ -766,6 +766,32 @@ def test_no_snapshot_is_captured_without_a_listener(tmp_path, monkeypatch):
     assert captured == []
 
 
+def test_a_job_event_is_rendered_only_for_a_receiver(tmp_path, monkeypatch):
+    """A job nobody watches renders only its 201 view; a subscriber to
+    one job makes no other job's events render."""
+    from repro.serve import service as service_module
+
+    rendered = []
+    monkeypatch.setattr(
+        service_module, "job_view",
+        lambda record: rendered.append(record.id) or job_view(record),
+    )
+    svc = CampaignService(str(tmp_path / "store"), jobs=1, snapshot_interval=10.0)
+    svc.start()
+    sub = None
+    try:
+        first, _ = svc.submit("alice", demo_request(points=2))
+        assert wait_for(lambda: svc.job(first.id).terminal)
+        sub = svc.subscribe(first.id)
+        second, _ = svc.submit("bob", demo_request(points=2))
+        assert wait_for(lambda: svc.job(second.id).terminal)
+    finally:
+        svc.stop()  # joins the scheduler: every broadcast has happened
+        if sub is not None:
+            svc.unsubscribe(sub)
+    assert rendered == [first.id, first.id, second.id]
+
+
 def test_a_global_subscriber_gets_snapshots_with_contiguous_seq(tmp_path):
     import json as _json
 
