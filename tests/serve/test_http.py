@@ -326,6 +326,16 @@ def handler_threads():
     return {t for t in threading.enumerate() if t.name == "repro-serve-http"}
 
 
+def read_until(sock, marker):
+    """Read until ``marker`` has arrived; the server must not close first."""
+    data = b""
+    while marker not in data:
+        block = sock.recv(65536)
+        assert block, f"the server closed the connection before {marker!r}"
+        data += block
+    return data
+
+
 def read_to_end(sock):
     """Everything the server sends until it ends the connection."""
     chunks = []
@@ -362,16 +372,20 @@ def error_code(reply):
 def test_open_event_streams_do_not_starve_a_submit(server):
     """Each open SSE stream holds a handler thread; a submit and its watch
     still get threads of their own."""
-    client = client_for(server, tenant="alice")
     streams = []
     try:
         for _ in range(16):
-            streams.append(client._request("/v1/events", timeout=10))
+            sock = socket.create_connection(server.server_address[:2], timeout=10)
+            streams.append(sock)
+            sock.sendall(b"GET /v1/events HTTP/1.1\r\nHost: t\r\n\r\n")
+            # The stream's headers arrive once a thread is serving it.
+            assert read_until(sock, b"\r\n\r\n").startswith(b"HTTP/1.1 200")
+        client = client_for(server, tenant="alice")
         job = client.submit("demo", {"points": 2, "delay": 0.0})
         assert client.wait(job["id"], timeout=30)["state"] == "done"
     finally:
-        for resp in streams:
-            resp.close()
+        for sock in streams:
+            sock.close()
 
 
 def test_handler_threads_are_reused_and_end_at_server_close(tmp_path):
@@ -382,9 +396,7 @@ def test_handler_threads_are_reused_and_end_at_server_close(tmp_path):
         socks = [socket.create_connection(address, timeout=10) for _ in range(3)]
         for sock in socks:
             sock.sendall(HEALTHZ)
-            reply = b""
-            while not reply.endswith(b"\r\n\r\nok\n"):
-                reply += sock.recv(65536)
+            read_until(sock, b"\r\n\r\nok\n")
         threads = handler_threads() - before
         assert len(threads) == 3
         for sock in socks:
