@@ -1,4 +1,4 @@
-"""Shared-memory phase records and charges against the paper's definitions.
+"""Phase and superstep records and charges against the paper's definitions.
 
 An oracle computes, from the raw ``(proc, kind, x)`` events a phase
 stands for — ``("read", addr)``, ``("write", addr)`` or ``("local",
@@ -9,30 +9,35 @@ units)`` — with no handles and no fast paths (PAPER.md §2, Section 2.1):
 * each cell's queue: the number of *distinct processors* accessing it;
 * ``kappa``: the longest queue, at least 1; and the model's charge.
 
-Hypothesis drives each machine on both engines through random mixes of
-scalar, block and columnar ops, counted shapes included (distinct
-processors sharing cells, one common value), and compares every record
-and charge with the oracle.  Engine == engine and bulk == scalar loop
-share the record aggregates, the cost formulas and the queue builders;
-a bug there passes them and fails here.
+On the GSM (Section 2.2) a phase takes ``b = max(1, ceil(m_rw/alpha),
+ceil(kappa/beta))`` big-steps of ``mu = max(alpha, beta)`` each, and a
+written cell holds its old contents plus every value written to it.  A
+BSP superstep stands for ``("local", ops)`` and ``("send", dst)``
+events: ``w`` is the most local work at one component, ``h`` the most
+messages any component sends or receives, and the charge ``max(w, g·h,
+L)``, or ``max(1, h/s)`` on the MPC.
+
+Hypothesis drives each machine through random mixes of scalar, block
+and columnar ops, counted shapes included (distinct processors sharing
+cells, one common value), and compares every record and charge with the
+oracle.  Bulk == scalar loop shares the record aggregates, the cost
+formulas and the queue builders; a bug there passes it and fails here.
 """
 
 from collections import Counter, defaultdict
 from math import ceil
+from operator import itemgetter
 
 import pytest
-
-pytest.importorskip("numpy")
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
-    PRAM, QSM, QSMGD, SQSM, ConcurrencyViolation, MemoryConflictError,
-    PRAMParams, QSMParams, SQSMParams,
+    BSP, GSM, PRAM, QSM, QSMGD, SQSM, BSPParams, ConcurrencyViolation,
+    GSMParams, MemoryConflictError, PRAMParams, QSMParams, SQSMParams,
 )
 from repro.core.qsm_gd import QSMGDParams
-from repro.models import PEM, PEMParams
+from repro.models import MPC, PEM, MPCParams, PEMParams
 
 
 def _oracle(events):
@@ -68,21 +73,46 @@ def _pram_charge(variant, events, read_queue, write_queue):
     return 1.0
 
 
+def _superstep_oracle(events):
+    """``(w, h)`` of one superstep: the most local work at one component,
+    and the most messages one component sends or receives."""
+    work, sent, received = Counter(), Counter(), Counter()
+    for proc, kind, x in events:
+        if kind == "local":
+            work[proc] += x
+        else:
+            sent[proc] += 1
+            received[x] += 1
+    w = max(work.values(), default=0)
+    h = max([0, *sent.values(), *received.values()])
+    return w, h
+
+
 # name -> (machine factory, charge(m_op, m_rw, write-queue kappa, kappa))
 MODELS = {
-    "qsm": (lambda e: QSM(QSMParams(g=3), seed=1, engine=e),
+    "qsm": (lambda: QSM(QSMParams(g=3), seed=1),
             lambda op, rw, wk, k: max(op, 3 * rw, k)),
     "qsm-unit-reads": (
-        lambda e: QSM(QSMParams(g=2, unit_time_concurrent_reads=True), seed=1, engine=e),
+        lambda: QSM(QSMParams(g=2, unit_time_concurrent_reads=True), seed=1),
         lambda op, rw, wk, k: max(op, 2 * rw, wk)),
-    "sqsm": (lambda e: SQSM(SQSMParams(g=2), seed=1, engine=e),
+    "sqsm": (lambda: SQSM(SQSMParams(g=2), seed=1),
              lambda op, rw, wk, k: max(op, 2 * rw, 2 * k)),
-    "qsm-gd": (lambda e: QSMGD(QSMGDParams(g=2, d=3), seed=1, engine=e),
+    "qsm-gd": (lambda: QSMGD(QSMGDParams(g=2, d=3), seed=1),
                lambda op, rw, wk, k: max(op, 2 * rw, 3 * k)),
-    "pem": (lambda e: PEM(PEMParams(M=8, B=2), seed=1, engine=e),
+    "pem": (lambda: PEM(PEMParams(M=8, B=2), seed=1),
             lambda op, rw, wk, k: max(ceil(rw / 2), k)),
 }
 PRAMS = ["EREW", "CREW", "CRCW"]
+# The GSM's alpha and beta differ, so mu = max(alpha, beta) = beta.
+GSM_ALPHA, GSM_BETA = 2, 3
+COMPONENTS = 4
+# name -> (machine factory, charge(w, h))
+SUPERSTEP_MODELS = {
+    "bsp": (lambda: BSP(COMPONENTS, BSPParams(g=2, L=3)),
+            lambda w, h: max(w, 2 * h, 3)),
+    "mpc": (lambda: MPC(COMPONENTS, MPCParams(s=2)),
+            lambda w, h: max(1, h / 2)),
+}
 
 PROC = st.integers(0, 7)
 CELL = st.integers(0, 9)
@@ -123,6 +153,17 @@ PHASES = st.lists(
     min_size=1, max_size=3,
 )
 
+COMPONENT = st.integers(0, COMPONENTS - 1)
+SUPERSTEPS = st.lists(
+    st.lists(st.one_of(
+        st.tuples(st.just("local"), st.tuples(COMPONENT, st.integers(0, 9))),
+        st.tuples(st.just("send"), st.tuples(COMPONENT, COMPONENT)),
+        st.tuples(st.sampled_from(["send_block", "send_cols"]),
+                  st.tuples(COMPONENT, st.lists(COMPONENT, max_size=6))),
+    ), max_size=8),
+    min_size=1, max_size=3,
+)
+
 
 def _op(op, args):
     """``(call args, events)`` of one generated op."""
@@ -147,7 +188,21 @@ def _op(op, args):
     return call, [(p, "write", a) for p, a in pairs]
 
 
-def _check(machine, phases, charge):
+def _written(op, call):
+    """The ``(proc, addr, value)`` writes of one write call, in issue order."""
+    if op == "write":
+        return [call]
+    if op == "write_block":
+        proc, items = call
+        return [(proc, a, v) for a, v in items]
+    if op == "write_each":
+        return list(zip(*call))
+    return []
+
+
+def _check(machine, phases, charge, committed=None):
+    """Run ``phases`` and hold each record and charge to the oracle;
+    ``committed(calls)`` then checks whatever else a model promises."""
     for program in phases:
         calls = [(op, *_op(op, args)) for op, args in program]
         events = [ev for _, _, evs in calls for ev in evs]
@@ -169,24 +224,94 @@ def _check(machine, phases, charge):
         assert (record.m_op, record.m_rw, record.kappa) == (m_op, m_rw, kappa)
         assert dict(record.read_queue) == rq and dict(record.write_queue) == wq
         assert cost == expected
+        if committed is not None:
+            committed(calls)
 
 
-@pytest.mark.parametrize("engine", ["reference", "vector"])
+def _superstep_calls(program):
+    """``(calls, events)`` of one generated superstep.  Each message's
+    payload is its event's index, so every delivery is traceable."""
+    calls, events = [], []
+    for op, (proc, x) in program:
+        if op == "local":
+            calls.append((op, (proc, x)))
+            events.append((proc, "local", x))
+            continue
+        dsts = [x] if op == "send" else x
+        keys = list(range(len(events), len(events) + len(dsts)))
+        events.extend((proc, "send", dst) for dst in dsts)
+        if op == "send":
+            call = (proc, x, keys[0])
+        elif op == "send_block":
+            call = (proc, list(zip(dsts, keys)))
+        else:
+            call = (proc, dsts, keys)
+        calls.append((op, call))
+    return calls, events
+
+
+def _check_supersteps(machine, supersteps, charge):
+    for program in supersteps:
+        calls, events = _superstep_calls(program)
+        with machine.superstep() as ss:
+            for op, call in calls:
+                getattr(ss, op)(*call)
+        w, h = _superstep_oracle(events)
+        record = machine.history[-1]
+        assert (record.w, record.h) == (w, h)
+        assert machine.step_costs[-1] == charge(w, h)
+        # Each message arrives once, ordered by sender, then by send order.
+        for dst in range(machine.p):
+            sent = [(src, k) for k, (src, kind, x) in enumerate(events)
+                    if kind == "send" and x == dst]
+            assert machine.inbox(dst) == sorted(sent, key=itemgetter(0))
+
+
 class TestPhasesMatchTheOracle:
     @pytest.mark.parametrize("model", sorted(MODELS))
     @given(phases=PHASES)
     @settings(max_examples=80, deadline=None)
-    def test_queuing_models(self, engine, model, phases):
+    def test_queuing_models(self, model, phases):
         make, formula = MODELS[model]
-        _check(make(engine), phases, lambda events, op, rw, rq, wq, k: formula(
+        _check(make(), phases, lambda events, op, rw, rq, wq, k: formula(
             op, rw, max([1, *wq.values()]), k
         ))
 
     @pytest.mark.parametrize("variant", PRAMS)
     @given(phases=PHASES)
     @settings(max_examples=60, deadline=None)
-    def test_pram(self, engine, variant, phases):
-        machine = PRAM(PRAMParams(variant, "arbitrary"), seed=1, engine=engine)
+    def test_pram(self, variant, phases):
+        machine = PRAM(PRAMParams(variant, "arbitrary"), seed=1)
         _check(machine, phases, lambda events, op, rw, rq, wq, k: _pram_charge(
             variant, events, rq, wq
         ))
+
+    @given(phases=PHASES)
+    @settings(max_examples=80, deadline=None)
+    def test_gsm(self, phases):
+        machine = GSM(GSMParams(alpha=GSM_ALPHA, beta=GSM_BETA), seed=1)
+        mu = max(GSM_ALPHA, GSM_BETA)
+        cells = {}
+
+        def big_steps(events, op, rw, rq, wq, k):
+            return mu * max(1, ceil(rw / GSM_ALPHA), ceil(k / GSM_BETA))
+
+        def strong_queuing(calls):
+            # Each written cell gains every value written to it, by
+            # processor, then in issue order.
+            writes = [w for op, call, _ in calls for w in _written(op, call)]
+            for _, addr, value in sorted(writes, key=itemgetter(0)):
+                cells[addr] = cells.get(addr, ()) + (value,)
+            assert {a: machine.peek(a) for a in range(10)} == {
+                a: cells.get(a) for a in range(10)
+            }
+
+        _check(machine, phases, big_steps, strong_queuing)
+        assert machine.time == mu * machine.big_steps
+
+    @pytest.mark.parametrize("model", sorted(SUPERSTEP_MODELS))
+    @given(supersteps=SUPERSTEPS)
+    @settings(max_examples=80, deadline=None)
+    def test_superstep_models(self, model, supersteps):
+        make, charge = SUPERSTEP_MODELS[model]
+        _check_supersteps(make(), supersteps, charge)
