@@ -32,8 +32,7 @@ hold:
 Run as ``python -m repro xmodel`` (honours ``--jobs``), or under ``pytest
 benchmarks/`` for the asserting targets.  ``collect()`` emits the committed
 ``BENCH_cross_model.json`` baseline that ``python -m repro bench check``
-gates on (deterministic simulated costs: 1% tolerance), including the
-MPC/PEM reference-vs-vector engine bit-equality bits.
+gates on (deterministic simulated costs: 1% tolerance).
 """
 
 from __future__ import annotations
@@ -67,7 +66,6 @@ from repro.core import (
     QSMParams,
     SQSM,
     SQSMParams,
-    have_numpy,
 )
 from repro.lowerbounds.formulas import (
     bsp_or_det_time,
@@ -123,21 +121,21 @@ def _pcount(model: str, n: int) -> int:
     return n
 
 
-def _machine(model: str, n: int, engine: Optional[str] = None):
+def _machine(model: str, n: int):
     if model == "QSM":
-        return QSM(QSMParams(g=G), engine=engine)
+        return QSM(QSMParams(g=G))
     if model == "s-QSM":
-        return SQSM(SQSMParams(g=G), engine=engine)
+        return SQSM(SQSMParams(g=G))
     if model == "QSM(g,d)":
-        return QSMGD(QSMGDParams(g=G, d=D), engine=engine)
+        return QSMGD(QSMGDParams(g=G, d=D))
     if model == "BSP":
-        return BSP(_pcount(model, n), BSPParams(g=BSP_G, L=BSP_L), engine=engine)
+        return BSP(_pcount(model, n), BSPParams(g=BSP_G, L=BSP_L))
     if model == "PRAM":
-        return PRAM(PRAMParams(variant="CRCW", write_rule="arbitrary"), engine=engine)
+        return PRAM(PRAMParams(variant="CRCW", write_rule="arbitrary"))
     if model == "MPC":
-        return MPC(_pcount(model, n), MPCParams(s=MPC_S), engine=engine)
+        return MPC(_pcount(model, n), MPCParams(s=MPC_S))
     if model == "PEM":
-        return PEM(PEMParams(M=PEM_M, B=PEM_B), engine=engine)
+        return PEM(PEMParams(M=PEM_M, B=PEM_B))
     raise ValueError(f"unknown model {model!r}")
 
 
@@ -241,10 +239,9 @@ def _run_listrank(machine, model: str, n: int):
 _RUNNERS = {"Parity": _run_parity, "OR": _run_or, "ListRank": _run_listrank}
 
 
-def run_cross_model_point(problem: str, model: str, n: int,
-                          engine: Optional[str] = None) -> Dict[str, object]:
+def run_cross_model_point(problem: str, model: str, n: int) -> Dict[str, object]:
     """One (problem, model, n) cell as a sweep outcome (picklable)."""
-    machine = _machine(model, n, engine=engine)
+    machine = _machine(model, n)
     r, correct = _RUNNERS[problem](machine, model, n)
     return {
         "measured": r.time,
@@ -261,20 +258,6 @@ def table_points(jobs: Optional[int] = None):
                           **sweep_cache_kwargs())
 
 
-def engine_parity(model: str, ns=None) -> bool:
-    """True iff reference and vector engines agree bit-for-bit on every
-    (problem, n) cell of one model — measured cost and correctness both."""
-    if not have_numpy():
-        return True  # vector resolves to reference; nothing to compare
-    for problem in PROBLEMS:
-        for n in ns if ns is not None else NS:
-            ref = run_cross_model_point(problem, model, n, engine="reference")
-            vec = run_cross_model_point(problem, model, n, engine="vector")
-            if (ref["measured"], ref["correct"]) != (vec["measured"], vec["correct"]):
-                return False
-    return True
-
-
 # --- the committed baseline payload (BENCH_cross_model.json) -----------------
 
 def collect(jobs: Optional[int] = None) -> Dict[str, object]:
@@ -283,8 +266,7 @@ def collect(jobs: Optional[int] = None) -> Dict[str, object]:
     Schema ``cross_model/1``: outcomes nest under ``cells.<problem>.<key>``
     (``cells``, not ``points`` — the latter is regress config-skip), each
     carrying the deterministic ``measured`` / ``bound`` / ``correct``
-    trio gated at the tight 1% tolerance, plus the MPC/PEM engine
-    bit-equality booleans.
+    trio gated at the tight 1% tolerance.
     """
     jobs = default_jobs() if jobs is None else jobs
     points = table_points(jobs=jobs)
@@ -300,8 +282,6 @@ def collect(jobs: Optional[int] = None) -> Dict[str, object]:
         "schema": "cross_model/1",
         "models": MODELS,
         "cells": cells,
-        "engines_agree_mpc": engine_parity("MPC"),
-        "engines_agree_pem": engine_parity("PEM"),
     }
 
 
@@ -335,12 +315,6 @@ def main(jobs: Optional[int] = None) -> None:
             verdicts,
         )
         print()
-    print(
-        "engine bit-equality: MPC "
-        f"{'ok' if engine_parity('MPC', ns=[NS[0]]) else 'DIVERGED'}, PEM "
-        f"{'ok' if engine_parity('PEM', ns=[NS[0]]) else 'DIVERGED'} "
-        f"(vector backend: {have_numpy()})"
-    )
 
 
 # --- pytest-benchmark targets ------------------------------------------------
@@ -368,16 +342,6 @@ def bench_cross_model_mpc_tightness(benchmark):
     for out in outs:
         assert out["correct"]
         assert out["measured"] == pytest.approx(out["bound"])
-
-
-def bench_cross_model_engine_bit_equality(benchmark):
-    """MPC and PEM produce bit-identical costs on both engines."""
-    pytest.importorskip("numpy")
-    ok = benchmark.pedantic(
-        lambda: engine_parity("MPC", ns=[NS[0]]) and engine_parity("PEM", ns=[NS[0]]),
-        rounds=1, iterations=1,
-    )
-    assert ok
 
 
 if __name__ == "__main__":

@@ -24,17 +24,13 @@ Run as ``python -m repro perf`` (honours ``--jobs``), or under
 from __future__ import annotations
 
 import time
-from typing import Dict, List
-
-from typing import Tuple
-
-import pytest
+from typing import Dict, List, Tuple
 
 from benchmarks.common import PerfRow, ns_from_env, print_perf_rows
 from repro.algorithms.parity import parity_blocks
 from repro.analysis.parallel_sweep import default_jobs, parallel_sweep
 from repro.analysis.sweep import sweep
-from repro.core import BSP, BSPParams, QSM, QSMParams, have_numpy
+from repro.core import BSP, BSPParams, QSM, QSMParams
 from repro.lowerbounds.formulas import bounds_for
 from repro.problems import gen_bits, verify_parity
 
@@ -211,36 +207,26 @@ def compare_sweeps(jobs: int = None) -> Dict[str, object]:
     }
 
 
-# --- reference vs vector engine: point throughput ----------------------------
+# --- point throughput: one write phase and one read phase ------------------
 
-#: Processor count for the engine A/B.  Fewer procs than the issue-path
-#: micro-benchmarks => larger per-proc blocks (2000 cells at n=10^5), the
-#: regime the vector engine exists for (Table 1 sweeps at n ~ 10^5..10^6).
+#: Processor count for the point timings.  Fewer procs than the issue-path
+#: micro-benchmarks => larger per-proc blocks (2000 cells at n=10^5).
 POINT_PROCS = 50
 
 
-def time_point(engine: str = "reference", path: str = "scalar",
-               n: int = N_OPS, procs: int = POINT_PROCS) -> float:
+def time_point(path: str = "scalar", n: int = N_OPS, procs: int = POINT_PROCS) -> float:
     """End-to-end seconds for one write phase + one read phase of ``n`` cells.
 
     Unlike the issue-path micro-benchmarks above, this includes commit and
     read resolution — it is the wall cost of executing one "point" of
-    simulated work on the selected engine.  ``path="scalar"`` issues one
-    API call per cell (the canonical reference-engine style);
-    ``path="block"`` issues one bulk call per processor chunk (the style
-    the vector engine turns into array operations).
+    simulated work.  ``path="scalar"`` issues one API call per cell;
+    ``path="block"`` issues one bulk call per processor chunk.
     """
-    m = QSM(QSMParams(g=2), seed=0, engine=engine)
+    m = QSM(QSMParams(g=2), seed=0)
     chunks = _chunks(n, procs)
     # Payloads are prepared outside the clock: the measurement is the
     # engine executing the phase, not the harness fabricating test data.
-    # The vector engine is fed addresses/values in its native array form.
-    if engine == "vector":
-        import numpy as np
-
-        payloads = [np.arange(c.start, c.stop) for c in chunks]
-    else:
-        payloads = [list(c) for c in chunks]
+    payloads = [list(c) for c in chunks]
     t0 = time.perf_counter()
     with m.phase() as ph:
         if path == "scalar":
@@ -268,51 +254,28 @@ def time_point(engine: str = "reference", path: str = "scalar",
             acc += h.value
     else:
         for h in handles:
-            arr = getattr(h, "array", None)
-            acc += int(arr.sum()) if arr is not None else sum(h.values)
+            acc += sum(h.values)
     elapsed = time.perf_counter() - t0
     assert acc == n * (n - 1) // 2, "engine delivered wrong values"
     return elapsed
 
 
+#: The point timings' paths, named as in ``BENCH_phase_engine.json``.
+POINT_PATHS = {"reference-scalar": "scalar", "reference-block": "block"}
+
+
 def engine_point_rows(n: int = N_OPS, repeats: int = 3) -> List[PerfRow]:
-    """Reference-scalar / reference-block / vector-block point timings."""
-    variants = [("reference", "scalar"), ("reference", "block")]
-    if have_numpy():
-        variants.append(("vector", "block"))
+    """Scalar-path and block-path point timings."""
     rows = []
-    for engine, path in variants:
-        seconds = min(time_point(engine, path, n) for _ in range(repeats))
-        rows.append(PerfRow(f"point/{engine}-{path}", n, 2 * n, seconds))
+    for name, path in POINT_PATHS.items():
+        seconds = min(time_point(path, n) for _ in range(repeats))
+        rows.append(PerfRow(f"point/{name}", n, 2 * n, seconds))
     return rows
 
 
-def vector_speedup(n: int = N_OPS, repeats: int = 3) -> Dict[str, float]:
-    """Vector-engine point throughput over the reference engine's.
-
-    ``vs_reference_scalar`` is the headline (the per-op execution the
-    vector engine replaces); ``vs_reference_block`` isolates the engine
-    swap with the API held fixed.  Requires numpy.
-    """
-    scalar = min(time_point("reference", "scalar", n) for _ in range(repeats))
-    block = min(time_point("reference", "block", n) for _ in range(repeats))
-    vector = min(time_point("vector", "block", n) for _ in range(repeats))
-    return {
-        "vs_reference_scalar": scalar / vector,
-        "vs_reference_block": block / vector,
-    }
-
-
-# --- Table 1 at scale: the parity fan-in point, swept over both engines ------
+# --- Table 1 at scale: the parity fan-in point -------------------------------
 
 FANIN_BLOCK = 32
-
-
-def _block_parity(handle) -> int:
-    arr = getattr(handle, "array", None)
-    if arr is not None:
-        return int(arr.sum()) & 1
-    return sum(handle.values) & 1
 
 
 def _fanin_parity(machine: QSM, bits, b: int = FANIN_BLOCK) -> int:
@@ -320,9 +283,7 @@ def _fanin_parity(machine: QSM, bits, b: int = FANIN_BLOCK) -> int:
 
     Each level: processor ``j`` block-reads its group of ``<= b`` cells
     (contention 1, ``m_rw = b``), then scalar-writes the group parity
-    (``m_rw = 1``).  Per-op issue cost is O(n/b) Python calls per level,
-    so the simulation itself stays fast enough to sweep to n ~ 10^6 on
-    the vector engine.
+    (``m_rw = 1``).  Per-op issue cost is O(n/b) Python calls per level.
     """
     machine.load(bits, base=0)
     base, size = 0, len(bits)
@@ -336,16 +297,16 @@ def _fanin_parity(machine: QSM, bits, b: int = FANIN_BLOCK) -> int:
             ]
         with machine.phase() as ph:
             for j, h in enumerate(handles):
-                ph.write(j, out + j, _block_parity(h))
+                ph.write(j, out + j, sum(h.values) & 1)
         base, size = out, groups
         out = base + groups
     return machine.peek(base)
 
 
-def run_parity_fanin_point(n: int, g: float, engine: str) -> Dict[str, object]:
-    """One large-n Table 1a parity point on the selected engine (picklable)."""
+def run_parity_fanin_point(n: int, g: float) -> Dict[str, object]:
+    """One large-n Table 1a parity point (picklable)."""
     bound_entry = bounds_for(table="1a", problem="Parity", variant="deterministic")[0]
-    m = QSM(QSMParams(g=g), engine=engine)
+    m = QSM(QSMParams(g=g))
     bits = gen_bits(n, seed=n)
     value = _fanin_parity(m, bits)
     return {
@@ -366,74 +327,40 @@ def table1_ns() -> List[int]:
     return ns_from_env([10**4, 10**5], env="REPRO_PHASE_ENGINE_NS")
 
 
-def table1_engine_sweep(ns=None, jobs: int = None) -> List:
-    """The parity fan-in grid x both engines, via the ``engine=`` sweep axis."""
-    engines = ("reference", "vector") if have_numpy() else ("reference",)
+def table1_sweep(ns=None, jobs: int = None) -> List:
+    """The parity fan-in grid."""
     return parallel_sweep(
         {"n": ns if ns is not None else table1_ns(), "g": [2.0]},
         run_parity_fanin_point,
         jobs=jobs,
-        engine=engines,
     )
 
 
 # --- the committed baseline payload (BENCH_phase_engine.json) ----------------
 
 def collect(jobs: int = None) -> Dict[str, object]:
-    """Measure the engine A/B and the large-n Table 1 sweep for ``bench check``.
+    """Measure the point timings and the large-n Table 1 sweep for ``bench check``.
 
-    Schema (see ``repro.obs.regress``): per-engine wall numbers live under
+    Schema (see ``repro.obs.regress``): per-path wall numbers live under
     ``engines.<name>.seconds`` / ``.throughput`` (informational — never
-    gate), the reference/vector ratios under ``speedup`` (gated at the
-    loose wall tolerance), and the large-n parity points under ``table1``
-    (simulated costs — deterministic, gated at 1%).
+    gate), and the large-n parity points under ``table1`` (simulated
+    costs — deterministic, gated at 1%).  The ``table1`` keys keep the
+    ``engine=reference`` prefix of the committed baseline's keys.
     """
     jobs = default_jobs() if jobs is None else jobs
     engines: Dict[str, Dict[str, float]] = {}
-    for engine, path in [("reference", "scalar"), ("reference", "block"),
-                         ("vector", "block")]:
-        if engine == "vector" and not have_numpy():
-            continue
-        seconds = min(time_point(engine, path) for _ in range(3))
-        engines[f"{engine}-{path}"] = {
-            "seconds": seconds,
-            "throughput": 2 * N_OPS / seconds,
-        }
-    payload: Dict[str, object] = {
-        "n": N_OPS,
-        "vector_backend": have_numpy(),
-        "engines": engines,
-    }
-    if have_numpy():
-        payload["speedup"] = {
-            "vector_vs_reference_scalar": (
-                engines["reference-scalar"]["seconds"]
-                / engines["vector-block"]["seconds"]
-            ),
-            "vector_vs_reference_block": (
-                engines["reference-block"]["seconds"]
-                / engines["vector-block"]["seconds"]
-            ),
-        }
-    points = table1_engine_sweep(jobs=jobs)
+    for name, path in POINT_PATHS.items():
+        seconds = min(time_point(path) for _ in range(3))
+        engines[name] = {"seconds": seconds, "throughput": 2 * N_OPS / seconds}
     table1: Dict[str, Dict[str, object]] = {}
-    for p in points:
-        key = "engine={engine},g={g:g},n={n}".format(**p.params)
+    for p in table1_sweep(jobs=jobs):
+        key = "engine=reference,g={g:g},n={n}".format(**p.params)
         table1[key] = {
             "measured": p.measured,
             "correct": p.correct,
             "bound": p.bound,
         }
-    payload["table1"] = table1
-    # Bit-equality across engines, visible in the baseline: every vector
-    # point's simulated cost must equal its reference twin's.
-    by_n: Dict[tuple, Dict[str, float]] = {}
-    for p in points:
-        by_n.setdefault((p.params["n"], p.params["g"]), {})[p.params["engine"]] = p.measured
-    payload["engines_agree"] = all(
-        len(set(v.values())) == 1 for v in by_n.values()
-    )
-    return payload
+    return {"n": N_OPS, "engines": engines, "table1": table1}
 
 
 def main() -> None:
@@ -456,28 +383,21 @@ def main() -> None:
         raise SystemExit("parallel_sweep diverged from serial sweep")
     print()
     print_perf_rows(
-        f"Engine A/B: end-to-end point throughput (n={N_OPS})",
+        f"End-to-end point throughput (n={N_OPS})",
         engine_point_rows(),
         baseline="point/reference-scalar",
     )
-    if have_numpy():
-        speedup = vector_speedup()
-        print(
-            f"vector engine: {speedup['vs_reference_scalar']:.0f}x the "
-            f"reference scalar path, {speedup['vs_reference_block']:.0f}x "
-            f"the reference block path"
-        )
     print()
     t0 = time.perf_counter()
-    points = table1_engine_sweep()
+    points = table1_sweep()
     print(
-        f"Table 1a parity fan-in at scale (n in {table1_ns()}, both engines): "
+        f"Table 1a parity fan-in at scale (n in {table1_ns()}): "
         f"{len(points)} points in {time.perf_counter() - t0:.2f}s, "
         f"all correct: {all(p.correct for p in points)}"
     )
     for p in points:
         print(
-            f"  n={p.params['n']:>8} engine={p.params['engine']:<9} "
+            f"  n={p.params['n']:>8} "
             f"measured={p.measured:.1f} bound={p.bound:.1f} ratio={p.ratio:.2f}"
         )
 
@@ -510,25 +430,12 @@ def bench_parallel_sweep_is_drop_in(benchmark):
     assert all(p.correct for p in cmp["parallel"])
 
 
-def bench_vector_point_speedup(benchmark):
-    # The tentpole claim: the vector engine executes a point >= 100x faster
-    # than the reference engine's per-op path (ISSUE 6 targets 100-1000x).
-    pytest.importorskip("numpy")
-    speedup = benchmark(lambda: vector_speedup()["vs_reference_scalar"])
-    benchmark.extra_info["speedup"] = speedup
-    assert speedup >= 100.0, f"vector engine only {speedup:.0f}x reference"
-
-
 def bench_table1_sweep_reaches_1e5(benchmark):
-    # The scale claim: a Table 1 parity sweep completes at n >= 10^5 on both
-    # engines, correct, with bit-identical simulated costs.
-    def run():
-        return table1_engine_sweep(ns=[10**5], jobs=1)
-
-    points = benchmark.pedantic(run, rounds=1, iterations=1)
+    # The scale claim: a Table 1 parity sweep completes at n >= 10^5, correct.
+    points = benchmark.pedantic(
+        lambda: table1_sweep(ns=[10**5], jobs=1), rounds=1, iterations=1
+    )
     assert all(p.correct for p in points)
-    measured = {p.measured for p in points}
-    assert len(measured) == 1, f"engines disagree on simulated cost: {measured}"
 
 
 if __name__ == "__main__":

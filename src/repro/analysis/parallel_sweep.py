@@ -307,7 +307,6 @@ def parallel_sweep(
     pool: Optional[Any] = None,
     store: Optional[Any] = None,
     store_scope: Optional[str] = None,
-    engine: Optional[Any] = None,
 ) -> List[SweepPoint]:
     """Run ``run(**point)`` over the grid with ``jobs`` workers.
 
@@ -330,14 +329,7 @@ def parallel_sweep(
       and re-runs skip points already stored — the same cache campaigns
       read and write;
     * ``timeout`` / ``retries`` / ``backoff`` / ``on_error`` add the fault
-      tolerance described in the module docstring;
-    * with ``engine`` (one engine name or a sequence of them), an
-      ``"engine"`` axis of :func:`repro.core.resolve_engine`-resolved
-      names is injected into the grid, so each point runs as
-      ``run(**point, engine=<name>)`` and point keys (store identity)
-      carry the engine they were measured on.  Note that
-      ``engine="vector"`` resolves to ``"reference"`` on hosts without
-      numpy — the injected axis records what actually ran.
+      tolerance described in the module docstring.
 
     ``run`` must be picklable (a module-level function) when worker
     processes are used; serial execution has no pickling requirement
@@ -358,14 +350,6 @@ def parallel_sweep(
         raise ValueError(f"on_error must be 'raise' or 'record', got {on_error!r}")
     if executor not in EXECUTORS:
         raise ValueError(f"executor must be one of {EXECUTORS}, got {executor!r}")
-    if engine is not None:
-        from repro.core.engine_vector import resolve_engine
-
-        names = [engine] if isinstance(engine, str) else list(engine)
-        if "engine" in grid:
-            raise ValueError("grid already has an 'engine' axis; drop the engine= argument")
-        grid = dict(grid)
-        grid["engine"] = [resolve_engine(name) for name in names]
 
     points = grid_points(grid)
     jobs = default_jobs() if jobs is None else int(jobs)

@@ -50,6 +50,7 @@ EXPERIMENTS.md's numbers.
 from __future__ import annotations
 
 import os
+import signal
 import sys
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -383,32 +384,10 @@ def run_chaos(argv: List[str]) -> int:
 
 
 def run_version() -> int:
-    """``python -m repro version``: version plus the resolved phase engine.
-
-    The second line surfaces what :func:`repro.core.engine_vector.resolve_engine`
-    would pick for machines built in this process — including the silent-ish
-    numpy fallback ("vector -> reference") that would otherwise only show as
-    a one-time warning.
-    """
+    """``python -m repro version``: the package version."""
     from repro import __version__
-    from repro.core.engine_vector import ENGINE_ENV, have_numpy, resolve_engine
-    import os
-    import warnings
 
     print(__version__)
-    requested = os.environ.get(ENGINE_ENV) or "reference"
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # version output stays clean
-            resolved = resolve_engine()
-    except ValueError as exc:
-        print(f"engine: error ({exc})", file=sys.stderr)
-        return 2
-    detail = "numpy available" if have_numpy() else "numpy unavailable"
-    if requested != resolved:
-        print(f"engine: {resolved} (requested {requested!r}; {detail})")
-    else:
-        print(f"engine: {resolved} ({detail})")
     return 0
 
 
@@ -1099,6 +1078,10 @@ def run_serve(argv: List[str]) -> int:
             print(f"streaming snapshots to {args.metrics} (tail with "
                   f"`python -m repro campaign status --follow "
                   f"--metrics {args.metrics}`)")
+        # A non-interactive shell starts a background job with SIGINT
+        # ignored, and Python keeps it ignored; the clean stop below needs
+        # the KeyboardInterrupt that SIGINT raises.
+        signal.signal(signal.SIGINT, signal.default_int_handler)
         try:
             serve_forever(server)
         except KeyboardInterrupt:

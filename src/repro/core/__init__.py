@@ -17,13 +17,9 @@ Public surface
 * Round accounting (Section 2.3): :mod:`repro.core.rounds`.
 * GSM-to-other-model bound translation (Claims 2.1/2.2):
   :mod:`repro.core.mapping`.
-* Execution engines: every machine takes ``engine="reference"|"vector"``
-  (default via ``$REPRO_ENGINE``); see :mod:`repro.core.engine_vector`.
-  Both engines serve the same ``phase()`` / ``superstep()`` methods.
 """
 
 from repro.core.bsp import BSP, Superstep
-from repro.core.engine_vector import ENGINE_ENV, ENGINES, have_numpy, resolve_engine
 from repro.core.gsm import GSM
 from repro.core.machine import (
     BlockReadHandle,
@@ -76,8 +72,4 @@ __all__ = [
     "RoundAuditor",
     "RoundViolation",
     "round_budget",
-    "ENGINE_ENV",
-    "ENGINES",
-    "resolve_engine",
-    "have_numpy",
 ]

@@ -39,10 +39,6 @@ _by_dst = itemgetter(1)
 class Superstep:
     """One open BSP superstep; use via ``with bsp.superstep() as ss:``."""
 
-    #: True on the vector engine's subclass; the commit uses it to pick the
-    #: array delivery path (see BSP._commit).
-    _is_vector = False
-
     def __init__(self, machine: "BSP") -> None:
         self._machine = machine
         self._open = True
@@ -93,9 +89,8 @@ class Superstep:
         """Column form of :meth:`send_block`: ``payloads[i]`` to ``dsts[i]``.
 
         Semantically identical to ``ss.send_block(src, list(zip(dsts,
-        payloads)))`` without building the pair list — and the form the
-        vector engine consumes without unzipping.  The columns must have
-        equal length.
+        payloads)))`` without building the pair list.  The columns must
+        have equal length.
         """
         self._check_open()
         self._machine._check_component(src)
@@ -105,11 +100,6 @@ class Superstep:
                 f"{len(dsts)} destinations and {len(payloads)} payloads"
             )
         self.send_block(src, list(zip(dsts, payloads)))
-
-    def _materialize_outgoing(self) -> List[Tuple[int, int, Any]]:
-        """This superstep's messages as (src, dst, payload) triples (hook
-        for engine subclasses that keep the log in another form)."""
-        return self._outgoing
 
     def local(self, proc: int, ops: int = 1) -> None:
         """Charge ``ops`` units of local work to component ``proc``."""
@@ -159,24 +149,12 @@ class BSP:
         seed: Optional[int] = 0,
         record_costs: bool = False,
         fault_plan: Optional[Any] = None,
-        engine: Optional[str] = None,
     ) -> None:
         if type(p) is not int:
             raise ValueError(f"BSP component count must be an int, got {p!r}")
         if p < 1:
             raise ValueError(f"BSP needs at least one component, got p={p}")
         self.p = p
-        from repro.core.engine_vector import resolve_engine
-
-        self.engine = resolve_engine(engine)
-        if _metrics.REGISTRY.enabled:
-            _metrics.record_engine(self.engine, self.model_label)
-        if self.engine == "vector":
-            from repro.core.engine_vector import VectorSuperstep
-
-            self._step_factory = VectorSuperstep
-        else:
-            self._step_factory = Superstep
         self.params = params if params is not None else BSPParams()
         # Local stores are plain dicts owned by the orchestrating algorithm.
         self.store: List[Dict[Any, Any]] = [dict() for _ in range(p)]
@@ -229,7 +207,7 @@ class BSP:
         if self._step_open:
             raise PhaseClosedError("a superstep is already open; they cannot nest")
         self._step_open = True
-        step = self._step_factory(self)
+        step = Superstep(self)
         if self.record_costs:
             step._t_open = perf_counter()
         return step
@@ -275,39 +253,32 @@ class BSP:
     def _commit(self, step: Superstep) -> None:
         index = len(self.history)
         step_faults: Tuple[Dict[str, Any], ...] = ()
-        if step._is_vector and self.fault_plan is None and not self._deferred:
-            # Vector engine, nothing rerouting messages: deliver the whole
-            # superstep with array counting/sorting.  Any fault plan or
-            # pending deferred message drops to the reference path below,
-            # which is bit-equal by construction (same triples, same sort).
-            received, new_inboxes = step._deliver()
-        else:
-            outgoing = step._materialize_outgoing()
-            if self.fault_plan is not None:
-                # Route this superstep's messages through the fault plan:
-                # drops vanish, duplicates double, delayed/stalled messages
-                # park in self._deferred until their due superstep commits.
-                outgoing, deferred, fired = self.fault_plan.route_bsp(index, outgoing)
-                if deferred:
-                    self._deferred.extend(deferred)
-                if fired:
-                    self.fault_events.extend(fired)
-                    step_faults = tuple(ev.to_dict() for ev in fired)
-            if self._deferred:
-                matured = [m for due, m in self._deferred if due <= index]
-                if matured:
-                    self._deferred = [
-                        (due, m) for due, m in self._deferred if due > index
-                    ]
-                    outgoing = list(outgoing) + matured
-            received = dict(Counter(map(_by_dst, outgoing)))
-            new_inboxes = [[] for _ in range(self.p)]
-            # Deterministic delivery order: by sender, then send order (the
-            # sort is stable, so sorting on sender alone preserves each
-            # sender's issue order; matured deferred messages sort with
-            # their sender).
-            for src, dst, payload in sorted(outgoing, key=_by_src):
-                new_inboxes[dst].append((src, payload))
+        outgoing = step._outgoing
+        if self.fault_plan is not None:
+            # Route this superstep's messages through the fault plan:
+            # drops vanish, duplicates double, delayed/stalled messages
+            # park in self._deferred until their due superstep commits.
+            outgoing, deferred, fired = self.fault_plan.route_bsp(index, outgoing)
+            if deferred:
+                self._deferred.extend(deferred)
+            if fired:
+                self.fault_events.extend(fired)
+                step_faults = tuple(ev.to_dict() for ev in fired)
+        if self._deferred:
+            matured = [m for due, m in self._deferred if due <= index]
+            if matured:
+                self._deferred = [
+                    (due, m) for due, m in self._deferred if due > index
+                ]
+                outgoing = list(outgoing) + matured
+        received = dict(Counter(map(_by_dst, outgoing)))
+        new_inboxes = [[] for _ in range(self.p)]
+        # Deterministic delivery order: by sender, then send order (the
+        # sort is stable, so sorting on sender alone preserves each
+        # sender's issue order; matured deferred messages sort with
+        # their sender).
+        for src, dst, payload in sorted(outgoing, key=_by_src):
+            new_inboxes[dst].append((src, payload))
         record = SuperstepRecord(
             index=index,
             work_per_proc=dict(step._work),

@@ -16,10 +16,7 @@ Every term value (and every cost) is a ``float``, whatever the parameter
 spelling: gap parameters accept ints, and ``g * m_rw`` would otherwise
 stay ``int`` for ``g=2`` but turn ``float`` for ``g=2.0`` — making
 dominant-term dumps and JSONL round-trips compare unequal across runs
-that are numerically identical.  The queue aggregations go through
-:func:`queue_max` so engines exposing a compact queue mapping (the vector
-engine's ``CountQueue``) are aggregated in O(1) instead of via a
-full ``values()`` scan.
+that are numerically identical.
 """
 
 from __future__ import annotations

@@ -34,11 +34,6 @@ class GSM(SharedMemoryMachine):
 
     model_label = "GSM"
 
-    # Strong queuing transforms even single-writer values (merge into the
-    # cell's tuple), so the vector engine must always hand writes to
-    # _resolve_writes rather than scatter them directly.
-    _plain_write_semantics = False
-
     def __init__(
         self,
         params: Optional[GSMParams] = None,
@@ -49,7 +44,6 @@ class GSM(SharedMemoryMachine):
         record_snapshots: bool = False,
         record_costs: bool = False,
         fault_plan: Optional[Any] = None,
-        engine: Optional[str] = None,
     ) -> None:
         # No winner_policy: GSM strong queuing accumulates every written
         # value, so there is no arbitration to subvert.
@@ -61,7 +55,6 @@ class GSM(SharedMemoryMachine):
             record_snapshots=record_snapshots,
             record_costs=record_costs,
             fault_plan=fault_plan,
-            engine=engine,
         )
         self.params = params if params is not None else GSMParams()
         self.big_steps: int = 0

@@ -670,8 +670,7 @@ class Phase:
 
         Column form of :meth:`write_block` — semantically identical to
         ``ph.write_block(proc, list(zip(addrs, values)))`` but without
-        building the pair list, and the form the vector engine consumes
-        without unzipping.  The columns must have equal length.
+        building the pair list.  The columns must have equal length.
         """
         self._check_open()
         self._machine._check_proc(proc)
@@ -889,7 +888,7 @@ class Phase:
         )
 
     def _resolve_reads(self, machine: "SharedMemoryMachine") -> None:
-        """Resolve every read handle against pre-phase memory (engine hook)."""
+        """Resolve every read handle against pre-phase memory."""
         read_cell = machine._read_cell
         if type(machine)._read_cell is SharedMemoryMachine._read_cell:
             read_cell = machine._memory.get  # the same lookup, minus a call
@@ -898,10 +897,6 @@ class Phase:
                 handle._resolve(read_cell(handle.addr))
             else:  # BlockReadHandle / ReadEachHandle
                 handle._resolve(list(map(read_cell, handle.addrs)))
-
-    def _apply_writes(self, machine: "SharedMemoryMachine") -> None:
-        """Apply this phase's writes to memory (engine hook)."""
-        machine._resolve_writes(self)
 
     def __enter__(self) -> "Phase":
         return self
@@ -957,23 +952,10 @@ class SharedMemoryMachine:
         counts, wall time) to ``machine.cost_records``.  Zero-cost when
         off: the operation-issue paths are untouched and the commit pays
         a single predicate test.
-    engine:
-        ``"reference"`` (pure-Python, the default), ``"vector"`` (numpy
-        batch engine — see :mod:`repro.core.engine_vector`), or ``None``
-        to consult ``$REPRO_ENGINE``.  Both engines are bit-equal; the
-        vector engine falls back to reference (with a one-time
-        ``RuntimeWarning``) when numpy is unavailable.
     """
 
     #: Model tag used in cost records / result tables; subclasses override.
     model_label = "shared-memory"
-
-    #: Whether a single writer's value is stored as-is ("store the value"
-    #: semantics — QSM/s-QSM/PRAM).  Models whose write rule transforms
-    #: values even without a collision (GSM strong queuing) set this False;
-    #: the vector engine then always materializes its write log so the
-    #: model's own ``_resolve_writes`` runs.
-    _plain_write_semantics = True
 
     #: Whether collisions keep one arbitrary writer through
     #: :meth:`_apply_arbitrary_writes` (QSM, s-QSM, QSM(g,d), PEM, and the
@@ -990,7 +972,6 @@ class SharedMemoryMachine:
         record_costs: bool = False,
         winner_policy: Optional[Any] = None,
         fault_plan: Optional[Any] = None,
-        engine: Optional[str] = None,
     ) -> None:
         if num_processors is not None:
             if type(num_processors) is not int:
@@ -1008,19 +989,7 @@ class SharedMemoryMachine:
                 raise ValueError(f"memory_size must be >= 1, got {memory_size}")
         self.num_processors = num_processors
         self.memory_size = memory_size
-        from repro.core.engine_vector import resolve_engine
-
-        self.engine = resolve_engine(engine)
-        if _metrics.REGISTRY.enabled:
-            _metrics.record_engine(self.engine, self.model_label)
-        if self.engine == "vector":
-            from repro.core.engine_vector import DenseMemory, VectorPhase
-
-            self._memory: Dict[int, Any] = DenseMemory(memory_size)
-            self._phase_factory = VectorPhase
-        else:
-            self._memory = {}
-            self._phase_factory = Phase
+        self._memory: Dict[int, Any] = {}
         # Highest address ever written (-1 when untouched); kept current by
         # poke() and _commit() so next_free_address() is O(1) instead of
         # max() over the whole memory footprint.
@@ -1175,7 +1144,7 @@ class SharedMemoryMachine:
         if self._phase_open:
             raise PhaseClosedError("a phase is already open; phases cannot nest")
         self._phase_open = True
-        phase = self._phase_factory(self)
+        phase = Phase(self)
         if self.record_costs:
             phase._t_open = perf_counter()
         return phase
@@ -1267,11 +1236,9 @@ class SharedMemoryMachine:
     def _commit(self, phase: Phase) -> None:
         record = phase._build_record(len(self.history))
         cost = self._phase_cost(record)
-        # Resolve reads against pre-phase memory, then apply writes.  Both
-        # steps go through the phase so an engine-specific Phase subclass
-        # can substitute bulk gathers / slice assignments.
+        # Resolve reads against pre-phase memory, then apply writes.
         phase._resolve_reads(self)
-        phase._apply_writes(self)
+        self._resolve_writes(phase)
         # The phase's interval hull tracks its exact max written address.
         if phase._write_hi > self._high_water:
             self._high_water = phase._write_hi

@@ -22,17 +22,7 @@ __all__ = ["PhaseRecord", "SuperstepRecord", "queue_max"]
 
 
 def queue_max(queue: Mapping[int, int], default: int = 0) -> int:
-    """``max(queue.values(), default=default)`` for a per-cell queue mapping.
-
-    Queue mappings may be plain dicts (reference engine) or compact lazy
-    mappings exposing a ``max_value()`` aggregate (the vector engine's
-    ``CountQueue``); routing aggregation through here keeps the cost
-    formulas O(1) on the compact form instead of materializing a dict with
-    one entry per touched cell.
-    """
-    fast = getattr(queue, "max_value", None)
-    if fast is not None:
-        return fast() if queue else default
+    """The longest queue of a per-cell queue mapping (``default`` if empty)."""
     return max(queue.values(), default=default)
 
 

@@ -78,7 +78,6 @@ class PRAM(SharedMemoryMachine):
         record_costs: bool = False,
         winner_policy: Optional[Any] = None,
         fault_plan: Optional[Any] = None,
-        engine: Optional[str] = None,
     ) -> None:
         super().__init__(
             num_processors=num_processors,
@@ -89,7 +88,6 @@ class PRAM(SharedMemoryMachine):
             record_costs=record_costs,
             winner_policy=winner_policy,
             fault_plan=fault_plan,
-            engine=engine,
         )
         self.params = params if params is not None else PRAMParams()
 
@@ -118,8 +116,7 @@ class PRAM(SharedMemoryMachine):
 
     def _enforce_concurrency(self, record: PhaseRecord) -> None:
         # The lowest-addressed violating cell is reported, so the message
-        # does not depend on the order a queue mapping iterates in (the
-        # vector engine's compact queues iterate in address order).
+        # does not depend on the order the phase issued its accesses in.
         variant = self.params.variant
         if variant in ("EREW",) and queue_max(record.read_queue) > 1:
             addr = min(a for a, q in record.read_queue.items() if q > 1)

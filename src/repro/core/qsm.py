@@ -40,7 +40,6 @@ class QSM(SharedMemoryMachine):
         record_costs: bool = False,
         winner_policy: Optional[Any] = None,
         fault_plan: Optional[Any] = None,
-        engine: Optional[str] = None,
     ) -> None:
         super().__init__(
             num_processors=num_processors,
@@ -51,7 +50,6 @@ class QSM(SharedMemoryMachine):
             record_costs=record_costs,
             winner_policy=winner_policy,
             fault_plan=fault_plan,
-            engine=engine,
         )
         self.params = params if params is not None else QSMParams()
 

@@ -85,7 +85,6 @@ class QSMGD(QSM):
         record_costs: bool = False,
         winner_policy=None,
         fault_plan=None,
-        engine: Optional[str] = None,
     ) -> None:
         super().__init__(
             params=None,
@@ -97,7 +96,6 @@ class QSMGD(QSM):
             record_costs=record_costs,
             winner_policy=winner_policy,
             fault_plan=fault_plan,
-            engine=engine,
         )
         self.params = params if params is not None else QSMGDParams()  # type: ignore[assignment]
 

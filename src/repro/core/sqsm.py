@@ -39,7 +39,6 @@ class SQSM(QSM):
         record_costs: bool = False,
         winner_policy=None,
         fault_plan=None,
-        engine: Optional[str] = None,
     ) -> None:
         sqsm_params = params if params is not None else SQSMParams()
         # Initialise the QSM layer with a structurally compatible parameter
@@ -54,7 +53,6 @@ class SQSM(QSM):
             record_costs=record_costs,
             winner_policy=winner_policy,
             fault_plan=fault_plan,
-            engine=engine,
         )
         self.params = sqsm_params  # type: ignore[assignment]
 

@@ -17,9 +17,9 @@ Parameters live with the 1998 ones in :mod:`repro.core.params`, the
 matching lower bounds next to the 1998 formulas in
 :mod:`repro.lowerbounds.formulas` (tables ``"mpc"`` / ``"pem"``), and the
 cross-model comparison table in ``benchmarks/bench_cross_model.py``
-(``python -m repro xmodel``).  Both machines support
-``engine="reference"|"vector"``, ``record_costs=``, winner policies and
-fault plans exactly like the 1998 machines — see docs/MODELS.md.
+(``python -m repro xmodel``).  Both machines support ``record_costs=``,
+winner policies and fault plans exactly like the 1998 machines — see
+docs/MODELS.md.
 """
 
 from repro.core.params import MPCParams, PEMParams

@@ -8,7 +8,7 @@ rounds machines exchange messages, with each machine sending and
 receiving at most ``s`` words.
 
 The simulator rides the BSP superstep substrate unchanged — an MPC round
-*is* a BSP superstep with a different charge — so the vector engine, the
+*is* a BSP superstep with a different charge — so the block sends, the
 fault plans (drop/duplicate/delay/stall/crash) and the deterministic
 delivery order all apply as-is.  Only the cost hooks differ:
 
@@ -55,14 +55,12 @@ class MPC(BSP):
         seed: Optional[int] = 0,
         record_costs: bool = False,
         fault_plan: Optional[Any] = None,
-        engine: Optional[str] = None,
     ) -> None:
         super().__init__(
             p,
             seed=seed,
             record_costs=record_costs,
             fault_plan=fault_plan,
-            engine=engine,
         )
         self.params = params if params is not None else MPCParams()
 

@@ -7,7 +7,8 @@ the number of parallel block transfers, with computation inside the
 caches free.
 
 The simulator rides the shared-memory phase substrate unchanged, so the
-vector engine, winner policies and memory fault plans all apply as-is.
+block and columnar ops, winner policies and memory fault plans all apply
+as-is.
 Semantics follow the CREW flavour with queued writes: concurrent reads
 of a cell all see the pre-phase value; among concurrent writers an
 *arbitrary* one succeeds, arbitrated through the same ``_pick_winners``
@@ -18,9 +19,9 @@ Cost per phase (:func:`repro.core.cost.pem_phase_cost`):
 ``max(ceil(m_rw / B), kappa)`` — a processor touching ``m_rw`` cells
 pays ``ceil(m_rw / B)`` block I/Os, and queue contention ``kappa``
 serializes at the block level.  Both aggregates come straight from the
-:class:`~repro.core.phase.PhaseRecord`, so reference and vector engines
-are bit-equal by construction (pinned in
-``tests/property/test_engine_equivalence.py``).
+:class:`~repro.core.phase.PhaseRecord`; the phase oracle
+(``tests/property/test_phase_oracle.py``) recomputes them from raw
+events.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ class PEM(SharedMemoryMachine):
         record_costs: bool = False,
         winner_policy: Optional[Any] = None,
         fault_plan: Optional[Any] = None,
-        engine: Optional[str] = None,
     ) -> None:
         super().__init__(
             num_processors=num_processors,
@@ -63,7 +63,6 @@ class PEM(SharedMemoryMachine):
             record_costs=record_costs,
             winner_policy=winner_policy,
             fault_plan=fault_plan,
-            engine=engine,
         )
         self.params = params if params is not None else PEMParams()
 

@@ -52,7 +52,6 @@ __all__ = [
     "render_metrics_table",
     "record_phase",
     "record_superstep",
-    "record_engine",
     "MIN_EXP",
     "MAX_EXP",
     "METRICS_ENV",
@@ -479,16 +478,3 @@ def record_superstep(
         REGISTRY.counter(
             "repro_fault_events_total", "injected-fault events fired"
         ).inc(faults, model=model)
-
-def record_engine(engine: str, model: str) -> None:
-    """Mark a machine construction with its *resolved* phase engine.
-
-    A build-info-style gauge: ``repro_engine_info{engine=..., model=...}``
-    counts machines built per (engine, model) pair, so a dashboard (or
-    ``metrics dump``) shows at a glance whether a run that asked for the
-    vector engine actually got it or fell back to reference
-    (:func:`repro.core.engine_vector.resolve_engine`).
-    """
-    REGISTRY.gauge(
-        "repro_engine_info", "machines built per resolved phase engine"
-    ).inc(engine=engine, model=model)

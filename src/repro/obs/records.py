@@ -82,8 +82,9 @@ class PhaseCostRecord:
     contention:
         Histogram over cells: queue length -> number of cells whose queue
         had that length this phase (read and write queues pooled), keyed
-        in ascending length so both engines serialize it identically.  On
-        the BSP the analogue: messages received -> number of components.
+        in ascending length so it serializes the same whatever order the
+        cells were touched in.  On the BSP the analogue: messages
+        received -> number of components.
     ops_per_proc:
         Processor id -> total operations issued this phase (reads + writes
         + local ops; on the BSP: work + sends + receives).
@@ -149,17 +150,6 @@ class PhaseCostRecord:
         )
 
 
-def _depth_counts(queue: Mapping[int, int]) -> Mapping[int, int]:
-    """Histogram ``{queue depth: number of cells}`` of a per-cell queue.
-
-    Compact queues (the vector engine's ``CountQueue``) answer from their
-    own ``value_counts()`` aggregate without materializing a cell dict, as
-    :func:`~repro.core.phase.queue_max` does with ``max_value()``.
-    """
-    fast = getattr(queue, "value_counts", None)
-    return fast() if fast is not None else Counter(queue.values())
-
-
 def build_phase_cost_record(
     index: int,
     model: str,
@@ -172,8 +162,9 @@ def build_phase_cost_record(
     """Assemble a :class:`PhaseCostRecord` from a shared-memory phase."""
     from repro.core.phase import merge_counts
 
+    # Histogram {queue depth: number of cells} over both queues.
     contention = merge_counts(
-        _depth_counts(record.read_queue), _depth_counts(record.write_queue)
+        Counter(record.read_queue.values()), Counter(record.write_queue.values())
     )
     return PhaseCostRecord(
         index=index,

@@ -349,14 +349,13 @@ def collect_sched_current(samples: int = 1, jobs: Optional[int] = None) -> Dict[
 def collect_phase_engine_current(
     samples: int = 1, jobs: Optional[int] = None
 ) -> Dict[str, Any]:
-    """Re-measure the phase-engine A/B bench ``samples`` times (median-of-k).
+    """Re-measure the phase-engine bench ``samples`` times (median-of-k).
 
     The current side for ``BENCH_phase_engine.json`` baselines (the
-    ``"engines"`` schema): per-engine wall numbers are informational,
-    the reference-vs-vector ``speedup`` ratios gate at the loose wall
-    tolerance, and the large-n ``table1`` simulated costs gate at the
-    tight deterministic tolerance.  Requires the ``benchmarks`` tree on
-    the path, like :func:`collect_sched_current`.
+    ``"engines"`` schema): the point timings are informational, and the
+    large-n ``table1`` simulated costs gate at the tight deterministic
+    tolerance.  Requires the ``benchmarks`` tree on the path, like
+    :func:`collect_sched_current`.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
@@ -373,9 +372,9 @@ def collect_cross_model_current(
     The current side for ``BENCH_cross_model.json`` baselines (the
     ``"cells"`` schema): every cell's ``measured`` / ``bound`` / ``correct``
     is a deterministic simulated cost, so the whole payload gates at the
-    tight 1% tolerance, and the MPC/PEM ``engines_agree_*`` booleans fail
-    the check on any true -> false flip.  Requires the ``benchmarks`` tree
-    on the path, like :func:`collect_sched_current`.
+    tight 1% tolerance, and a ``correct`` flag fails the check on any
+    true -> false flip.  Requires the ``benchmarks`` tree on the path,
+    like :func:`collect_sched_current`.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")

@@ -68,6 +68,13 @@ _KEEPALIVE = 1.0
 #: Cap on request bodies; campaign submissions are tiny.
 _MAX_BODY = 1 << 20
 
+#: Seconds one read of a request (its line, its headers, its body) may
+#: wait for the client.  A read that times out ends the connection, so a
+#: client that stalls mid-request, or idles between keep-alive requests,
+#: cannot hold a handler thread past it.  SSE streams clear it: their
+#: writes may wait on a slow reader.
+_READ_TIMEOUT = 30.0
+
 
 def _reject_constant(token: str) -> Any:
     """``NaN``, ``Infinity`` and ``-Infinity`` are not JSON numbers."""
@@ -85,6 +92,12 @@ class ServeHandler(BaseHTTPRequestHandler):
         return self.server.service  # type: ignore[attr-defined]
 
     # -- plumbing ------------------------------------------------------------
+
+    def setup(self) -> None:
+        super().setup()
+        # ``handle_one_request`` ends a connection whose read times out,
+        # without a traceback.
+        self.connection.settimeout(_READ_TIMEOUT)
 
     def handle(self) -> None:
         try:
@@ -252,6 +265,7 @@ class ServeHandler(BaseHTTPRequestHandler):
         cancel_on_disconnect = query.get("cancel_on_disconnect") in ("1", "true")
         sub = self.service.subscribe(job_id)  # raises not_found first
         tenant = self._tenant()
+        self.connection.settimeout(None)  # the request is read; SSE writes wait
         self.send_response(200)
         self.send_header("Content-Type", "text/event-stream")
         self.send_header("Cache-Control", "no-store")

@@ -9,8 +9,6 @@ latency floor ``L``).  The sweep audited every consumer (no division by
 an empty superstep costs exactly ``L`` with dominant term ``"L"``.
 """
 
-import pytest
-
 from repro.core import BSP, QSM, BSPParams, QSMParams
 from repro.core.cost import bsp_cost_terms, bsp_superstep_cost, qsm_cost_terms
 from repro.core.phase import PhaseRecord, SuperstepRecord
@@ -65,12 +63,9 @@ class TestEmptySuperstepFloors:
         assert terms["kappa"] == 1.0
 
 
-@pytest.mark.parametrize("engine", ["reference", "vector"])
 class TestEmptySuperstepEndToEnd:
-    def test_committed_empty_superstep(self, engine):
-        if engine == "vector":
-            pytest.importorskip("numpy")
-        bsp = BSP(4, BSPParams(g=2.0, L=8.0), record_costs=True, engine=engine)
+    def test_committed_empty_superstep(self):
+        bsp = BSP(4, BSPParams(g=2.0, L=8.0), record_costs=True)
         with bsp.superstep():
             pass
         (rec,) = bsp.history
@@ -83,10 +78,8 @@ class TestEmptySuperstepEndToEnd:
         assert cost_rec.dominant == "L"
         assert all(bsp.inbox(i) == [] for i in range(4))
 
-    def test_committed_empty_phase(self, engine):
-        if engine == "vector":
-            pytest.importorskip("numpy")
-        machine = QSM(QSMParams(g=3.0), record_costs=True, engine=engine)
+    def test_committed_empty_phase(self):
+        machine = QSM(QSMParams(g=3.0), record_costs=True)
         with machine.phase():
             pass
         (rec,) = machine.history

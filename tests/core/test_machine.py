@@ -266,9 +266,8 @@ class TestContentionAccounting:
         # max(m_op, g*m_rw, g*kappa) = max(0, 6, 12), not 24.
         assert m.phase_costs == [12.0]
 
-    @pytest.mark.parametrize("engine", ["reference", "vector"])
     @pytest.mark.parametrize("steps", [1, 2, 3])
-    def test_single_reader_entry_upgrades_on_a_second_reader(self, engine, steps):
+    def test_single_reader_entry_upgrades_on_a_second_reader(self, steps):
         # A read cell holds its one reader until a second distinct one
         # arrives: p via read_each (queue 1), p again via read (still 1),
         # then q via read_block (2).  The cell is read-locked throughout.
@@ -277,7 +276,7 @@ class TestContentionAccounting:
             lambda ph: ph.read(0, 5),
             lambda ph: ph.read_block(2, [5, 7]),
         ]
-        m = QSM(QSMParams(g=1), engine=engine)
+        m = QSM(QSMParams(g=1))
         m.load(list(range(8)))
         with m.phase() as ph:
             for read in reads[:steps]:

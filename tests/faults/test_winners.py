@@ -55,7 +55,6 @@ class TestPolicies:
             )
             assert default == policied
 
-    @pytest.mark.parametrize("engine", ["reference", "vector"])
     @pytest.mark.parametrize(
         "factory",
         [
@@ -66,15 +65,13 @@ class TestPolicies:
         ],
         ids=["qsm", "sqsm", "crcw-pram", "pem"],
     )
-    def test_seeded_policy_matches_batched_machine_default(self, factory, engine):
+    def test_seeded_policy_matches_batched_machine_default(self, factory):
         # Many collided cells per phase, with 1 to 9 writers each: the
         # policy-free machine draws a phase's winners in one batch, the
         # policy cell by cell, and every cell must get the same winner.
         for seed in (0, 7, 123):
-            default = factory(seed=seed, engine=engine)
-            policied = factory(
-                seed=seed, winner_policy=SeededWinners(seed), engine=engine
-            )
+            default = factory(seed=seed)
+            policied = factory(seed=seed, winner_policy=SeededWinners(seed))
             for m in (default, policied):
                 many_collisions(m, phases=4, cells=40)
             cells = range(4 * 40)

@@ -116,8 +116,3 @@ class TestChaosHooks:
         # The plan attached; any fired events carry the BSP event schema.
         for event in machine.fault_events:
             assert set(event.to_dict()) >= {"step", "kind"}
-
-    def test_engine_selection(self):
-        pytest.importorskip("numpy")
-        assert MPC(2, engine="vector").engine == "vector"
-        assert MPC(2, engine="reference").engine == "reference"

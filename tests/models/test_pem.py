@@ -112,22 +112,3 @@ class TestWriteSemantics:
                 ph.read(0, 0)
                 ph.write(1, 0, 2)
 
-
-class TestEngines:
-    def test_engine_selection(self):
-        pytest.importorskip("numpy")
-        assert PEM(engine="vector").engine == "vector"
-        assert PEM(engine="reference").engine == "reference"
-
-    def test_engines_agree_on_a_small_program(self):
-        pytest.importorskip("numpy")
-
-        def run(eng):
-            machine = PEM(PEMParams(M=16, B=4), seed=9, engine=eng)
-            with machine.phase() as ph:
-                ph.write_block(0, [(a, a * a) for a in range(6)])
-            with machine.phase() as ph:
-                handle = ph.read_block(1, range(6))
-            return machine.time, handle.values
-
-        assert run("reference") == run("vector")

@@ -286,10 +286,8 @@ class TestDominantFractionsPaths:
     """A machine's history, its live records and its rebuilt records give
     the same fractions: same keys, same order, same floats."""
 
-    @pytest.mark.parametrize("engine", ["reference", "vector"])
     @pytest.mark.parametrize("factory, program", DOMINANCE_MODELS)
-    def test_history_live_and_rebuilt_agree(self, factory, program, engine, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", engine)
+    def test_history_live_and_rebuilt_agree(self, factory, program):
         live, plain = factory(True), factory(False)
         program(live)
         program(plain)

@@ -162,7 +162,7 @@ class TestCompare:
 
 CROSS_MODEL = {
     # BENCH_cross_model.json-style payload: one cells block per problem,
-    # a cell per (model, n), plus engine bit-equality booleans.
+    # a cell per (model, n).
     "schema": "cross_model/1",
     "models": ["QSM", "MPC", "PEM"],
     "cells": {
@@ -174,8 +174,6 @@ CROSS_MODEL = {
             "model=PEM,n=64": {"measured": 9.0, "bound": 1.0, "correct": True},
         },
     },
-    "engines_agree_mpc": True,
-    "engines_agree_pem": True,
 }
 
 
@@ -184,7 +182,7 @@ class TestCrossModelSchema:
         flat = flatten_metrics(CROSS_MODEL)
         assert flat["cells.Parity.model=MPC,n=64.measured"] == 3.0
         assert flat["cells.OR.model=PEM,n=64.bound"] == 1.0
-        assert flat["engines_agree_mpc"] is True
+        assert flat["cells.OR.model=PEM,n=64.correct"] is True
         # The schema marker and the model-name list are config, not metrics.
         assert "schema" not in flat
         assert not any(k.startswith("models") for k in flat)
@@ -202,11 +200,13 @@ class TestCrossModelSchema:
             "cells.Parity.model=MPC,n=64.measured"
         }
 
-    def test_engine_agreement_flip_fails(self):
+    def test_correct_flip_fails(self):
         current = json.loads(json.dumps(CROSS_MODEL))
-        current["engines_agree_pem"] = False
+        current["cells"]["OR"]["model=PEM,n=64"]["correct"] = False
         report = compare_bench(CROSS_MODEL, current)
-        assert [d.metric for d in report.regressions] == ["engines_agree_pem"]
+        assert [d.metric for d in report.regressions] == [
+            "cells.OR.model=PEM,n=64.correct"
+        ]
 
     def test_collector_rejects_zero_samples(self):
         from repro.obs.regress import collect_cross_model_current

@@ -25,7 +25,6 @@ from repro.core import (
     MemoryConflictError,
     PhaseClosedError,
 )
-from repro.core.engine_vector import have_numpy
 
 # Per-processor write blocks over a small address range (forces collisions
 # and duplicates) and per-processor read address lists.
@@ -44,18 +43,10 @@ read_programs = st.lists(
 )
 
 MACHINES = [
-    pytest.param(lambda eng=None: QSM(seed=7, record_trace=True, engine=eng), id="qsm"),
-    pytest.param(lambda eng=None: SQSM(seed=7, record_trace=True, engine=eng), id="sqsm"),
-    pytest.param(lambda eng=None: QSMGD(seed=7, record_trace=True, engine=eng), id="qsm-gd"),
-    pytest.param(lambda eng=None: GSM(seed=7, record_trace=True, engine=eng), id="gsm"),
-]
-
-ENGINES = [
-    "reference",
-    pytest.param(
-        "vector",
-        marks=pytest.mark.skipif(not have_numpy(), reason="numpy not installed"),
-    ),
+    pytest.param(lambda: QSM(seed=7, record_trace=True), id="qsm"),
+    pytest.param(lambda: SQSM(seed=7, record_trace=True), id="sqsm"),
+    pytest.param(lambda: QSMGD(seed=7, record_trace=True), id="qsm-gd"),
+    pytest.param(lambda: GSM(seed=7, record_trace=True), id="gsm"),
 ]
 
 # Each bulk op next to the scalar loop its docstring says it replaces.
@@ -175,12 +166,11 @@ def _values(handles):
 
 
 class TestColumnarEquivalence:
-    @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("make", MACHINES)
     @given(writes=mixed_steps, reads=mixed_reads)
     @settings(max_examples=60, deadline=None)
-    def test_mixed_programs_match_their_scalar_loops(self, make, engine, writes, reads):
-        scalar, bulk = make(engine), make(engine)
+    def test_mixed_programs_match_their_scalar_loops(self, make, writes, reads):
+        scalar, bulk = make(), make()
         values = []
         for machine, is_bulk in ((scalar, False), (bulk, True)):
             _run_steps(machine, writes, is_bulk)
@@ -240,13 +230,11 @@ IDS = st.one_of(st.integers(0, 11), BAD_IDS)
 
 BOUNDED = [
     pytest.param(
-        lambda eng: QSM(num_processors=4, memory_size=12, seed=7,
-                        record_trace=True, engine=eng),
+        lambda: QSM(num_processors=4, memory_size=12, seed=7, record_trace=True),
         id="qsm",
     ),
     pytest.param(
-        lambda eng: GSM(num_processors=4, memory_size=12, seed=7,
-                        record_trace=True, engine=eng),
+        lambda: GSM(num_processors=4, memory_size=12, seed=7, record_trace=True),
         id="gsm",
     ),
 ]
@@ -305,12 +293,11 @@ def _run_bad(machine, program, bulk):
 
 
 class TestBadEntriesRaiseLikeTheLoop:
-    @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("make", BOUNDED)
     @given(program=bad_programs())
     @settings(max_examples=150, deadline=None)
-    def test_bulk_op_raises_the_scalar_loops_error(self, make, engine, program):
-        scalar, bulk = make(engine), make(engine)
+    def test_bulk_op_raises_the_scalar_loops_error(self, make, program):
+        scalar, bulk = make(), make()
         assert _run_bad(scalar, program, bulk=False) == _run_bad(
             bulk, program, bulk=True
         )
@@ -319,27 +306,25 @@ class TestBadEntriesRaiseLikeTheLoop:
         assert scalar._memory == bulk._memory
         assert scalar.traces == bulk.traces
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_first_bad_pair_decides_the_error(self, engine):
+    def test_first_bad_pair_decides_the_error(self):
         # A negative address before a non-int one: the loop stops at the
         # negative address, so the block op must too.
-        m = QSM(memory_size=12, engine=engine)
+        m = QSM(memory_size=12)
         with pytest.raises(ValueError, match="non-negative, got -1"):
             with m.phase() as ph:
                 ph.write_block(0, [(-1, 1), ("x", 2)])
         # A conflicting first address before an out-of-range one.
-        m = QSM(memory_size=12, engine=engine)
+        m = QSM(memory_size=12)
         with pytest.raises(MemoryConflictError, match="cell 3 is being written"):
             with m.phase() as ph:
                 ph.write(1, 3, 0)
                 ph.read_block(0, [3, 99])
-        m = QSM(memory_size=12, engine=engine)
+        m = QSM(memory_size=12)
         with pytest.raises(MemoryConflictError, match="cell 3 is being read"):
             with m.phase() as ph:
                 ph.read(1, 3)
                 ph.write_block(0, [(3, 1), (99, 2)])
 
-    @pytest.mark.parametrize("engine", ENGINES)
     @given(
         program=st.lists(
             st.tuples(BAD_IDS | st.integers(0, 3), st.integers(-5, 5)),
@@ -347,9 +332,9 @@ class TestBadEntriesRaiseLikeTheLoop:
         )
     )
     @settings(max_examples=60, deadline=None)
-    def test_send_block_raises_the_scalar_loops_error(self, engine, program):
+    def test_send_block_raises_the_scalar_loops_error(self, program):
         def run(bulk):
-            m = BSP(4, BSPParams(g=2, L=2), engine=engine)
+            m = BSP(4, BSPParams(g=2, L=2))
             error = None
             with m.superstep() as ss:
                 try:

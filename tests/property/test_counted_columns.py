@@ -7,15 +7,12 @@ column then lands through the single-writer path after the winner draw.
 The machines here have no winner policy and record no trace, so the
 counted write path is live.  Programs put such columns first in a phase
 and follow them with scalar, block and columnar ops on the same cells,
-which expand them.  Every observable must match the scalar loop and the
-vector engine: records, charges, memory, read values, the generator's
-state, and the winners of a later collided phase.
+which expand them.  Every observable must match the scalar loop:
+records, charges, memory, read values, the generator's state, and the
+winners of a later collided phase.
 """
 
 import pytest
-
-pytest.importorskip("numpy")
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,13 +22,12 @@ from repro.faults.winners import FirstWriterWins
 from repro.models import PEM, PEMParams
 
 MACHINES = [
-    pytest.param(lambda eng: QSM(seed=7, engine=eng), id="qsm"),
-    pytest.param(lambda eng: SQSM(seed=7, engine=eng), id="sqsm"),
-    pytest.param(lambda eng: QSMGD(seed=7, engine=eng), id="qsm-gd"),
-    pytest.param(lambda eng: PEM(PEMParams(M=16, B=4), seed=7, engine=eng), id="pem"),
+    pytest.param(lambda: QSM(seed=7), id="qsm"),
+    pytest.param(lambda: SQSM(seed=7), id="sqsm"),
+    pytest.param(lambda: QSMGD(seed=7), id="qsm-gd"),
+    pytest.param(lambda: PEM(PEMParams(M=16, B=4), seed=7), id="pem"),
     pytest.param(
-        lambda eng: PRAM(PRAMParams("CRCW", "arbitrary"), seed=7, engine=eng),
-        id="crcw-arbitrary",
+        lambda: PRAM(PRAMParams("CRCW", "arbitrary"), seed=7), id="crcw-arbitrary",
     ),
 ]
 
@@ -124,20 +120,12 @@ def _run(machine, phases, bulk=True):
 
 
 class TestCountedColumns:
-    @pytest.mark.parametrize("engine", ["reference", "vector"])
     @pytest.mark.parametrize("make", MACHINES)
     @given(writes=write_phases, reads=read_phases)
     @settings(max_examples=60, deadline=None)
-    def test_columnar_ops_match_their_scalar_loops(self, make, engine, writes, reads):
+    def test_columnar_ops_match_their_scalar_loops(self, make, writes, reads):
         phases = [writes, reads, LATER]
-        assert _run(make(engine), phases) == _run(make(engine), phases, bulk=False)
-
-    @pytest.mark.parametrize("make", MACHINES)
-    @given(writes=write_phases, reads=read_phases)
-    @settings(max_examples=60, deadline=None)
-    def test_engines_identical(self, make, writes, reads):
-        phases = [writes, reads, LATER]
-        assert _run(make("reference"), phases) == _run(make("vector"), phases)
+        assert _run(make(), phases) == _run(make(), phases, bulk=False)
 
 
 def _column_phase(machine, values, cells=(3, 3, 4)):
@@ -149,10 +137,10 @@ def _column_phase(machine, values, cells=(3, 3, 4)):
 
 
 class TestWhichColumnsAreCounted:
-    """The reference engine's phase internals: which columns are counted."""
+    """The phase internals: which columns are counted."""
 
     def test_common_int_column_is_counted_and_charged_by_count(self):
-        machine = QSM(seed=3, engine="reference")
+        machine = QSM(seed=3)
         with machine.phase() as ph:
             ph.write_each([4, 5, 6, 7], [9, 8, 9, 9], [1, 1, 1, 1])
             assert len(ph._counted_writes) == 1
@@ -167,10 +155,10 @@ class TestWhichColumnsAreCounted:
     @pytest.mark.parametrize(
         "make",
         [
-            lambda: QSM(seed=3, record_trace=True, engine="reference"),
-            lambda: QSM(seed=3, winner_policy=FirstWriterWins(), engine="reference"),
-            lambda: PRAM(PRAMParams("CRCW", "common"), seed=3, engine="reference"),
-            lambda: PRAM(PRAMParams("CRCW", "priority"), seed=3, engine="reference"),
+            lambda: QSM(seed=3, record_trace=True),
+            lambda: QSM(seed=3, winner_policy=FirstWriterWins()),
+            lambda: PRAM(PRAMParams("CRCW", "common"), seed=3),
+            lambda: PRAM(PRAMParams("CRCW", "priority"), seed=3),
         ],
         ids=["trace", "policy", "crcw-common", "crcw-priority"],
     )
@@ -186,7 +174,7 @@ class TestWhichColumnsAreCounted:
     )
     @pytest.mark.parametrize("seed", range(4))
     def test_inexact_common_values_keep_entries(self, values, seed):
-        bulk, scalar = (QSM(seed=seed, engine="reference") for _ in range(2))
+        bulk, scalar = (QSM(seed=seed) for _ in range(2))
         assert _column_phase(bulk, values) == (False, Collided)
         with scalar.phase() as sph:
             for p, v in enumerate(values):

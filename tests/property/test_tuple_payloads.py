@@ -8,17 +8,13 @@ identical to the ``(proc, value)`` encoding.  The audit found the
 discrimination sound — block writes are tracked via ``_block_origins``
 rather than by sniffing the stored value — and these properties pin
 that: tuple payloads round-trip bit-exactly through both the scalar and
-block write paths, under collisions, on both engines.
+block write paths, under collisions.
 """
-
-import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import QSM, SQSM, QSMParams, SQSMParams
-
-ENGINES = ["reference", "vector"]
 
 payloads = st.one_of(
     # The adversarial shape: (small-int, small-int) looks exactly like a
@@ -30,18 +26,15 @@ payloads = st.one_of(
 )
 
 
-def _make(engine):
-    if engine == "vector":
-        pytest.importorskip("numpy")
-    return QSM(QSMParams(g=2), seed=13, engine=engine)
+def _make():
+    return QSM(QSMParams(g=2), seed=13)
 
 
-@pytest.mark.parametrize("engine", ENGINES)
 class TestTuplePayloadRoundTrip:
     @given(payload=payloads, addr=st.integers(0, 15), proc=st.integers(0, 7))
     @settings(max_examples=40, deadline=None)
-    def test_scalar_write_round_trips(self, engine, payload, addr, proc):
-        machine = _make(engine)
+    def test_scalar_write_round_trips(self, payload, addr, proc):
+        machine = _make()
         with machine.phase() as ph:
             ph.write(proc, addr, payload)
         with machine.phase() as ph:
@@ -55,8 +48,8 @@ class TestTuplePayloadRoundTrip:
         base=st.integers(0, 8),
     )
     @settings(max_examples=40, deadline=None)
-    def test_block_write_round_trips(self, engine, payload_a, payload_b, base):
-        machine = _make(engine)
+    def test_block_write_round_trips(self, payload_a, payload_b, base):
+        machine = _make()
         with machine.phase() as ph:
             ph.write_block(1, [(base, payload_a), (base + 1, payload_b)])
         with machine.phase() as ph:
@@ -73,47 +66,16 @@ class TestTuplePayloadRoundTrip:
         seed=st.integers(0, 2**16),
     )
     @settings(max_examples=40, deadline=None)
-    def test_colliding_tuple_writes_pick_a_real_payload(
-        self, engine, payload, addr, seed
-    ):
+    def test_colliding_tuple_writes_pick_a_real_payload(self, payload, addr, seed):
         # Scalar write vs block write of tuple payloads colliding on one
         # cell: whichever wins, the surviving value must be one of the two
         # user payloads — never a (proc, value) wrapper or an unwrapped
         # member of one.
         other = (payload[0] + 1, payload[1] - 1)
-        if engine == "vector":
-            pytest.importorskip("numpy")
-        machine = SQSM(SQSMParams(g=2), seed=seed, engine=engine)
+        machine = SQSM(SQSMParams(g=2), seed=seed)
         with machine.phase() as ph:
             ph.write(3, addr, payload)
             ph.write_block(5, [(addr, other)])
         with machine.phase() as ph:
             handle = ph.read(0, addr)
         assert handle.value in (payload, other)
-
-    @given(
-        payload=st.tuples(st.integers(0, 7), st.integers(-5, 5)),
-        addr=st.integers(0, 15),
-        seed=st.integers(0, 2**16),
-    )
-    @settings(max_examples=25, deadline=None)
-    def test_collision_winner_identical_across_engines(
-        self, engine, payload, addr, seed
-    ):
-        # Same seed => same arbitrary-winner draw => same surviving tuple,
-        # regardless of engine.  (engine param names the non-reference side.)
-        if engine == "vector":
-            pytest.importorskip("numpy")
-        other = (payload[0] + 2, payload[1] + 3)
-
-        def run(eng):
-            m = QSM(QSMParams(g=2), seed=seed, engine=eng)
-            with m.phase() as ph:
-                ph.write(1, addr, payload)
-                ph.write(2, addr, other)
-                ph.write_block(3, [(addr, (9, 9))])
-            with m.phase() as ph:
-                h = ph.read(0, addr)
-            return h.value
-
-        assert run("reference") == run(engine)

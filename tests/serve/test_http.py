@@ -10,6 +10,7 @@ import urllib.request
 
 import pytest
 
+from repro.serve import http as serve_http
 from repro.serve.client import ServeClient, ServeError
 from repro.serve.http import create_server, serve_forever
 from repro.serve.service import CampaignService
@@ -474,3 +475,28 @@ def test_a_client_gone_before_its_reply_leaves_no_traceback(tmp_path, capsys):
         client = client_for(srv)
         assert client.healthy()
         assert client.jobs(all_tenants=True) == []
+
+
+def test_a_request_that_stalls_mid_body_frees_its_thread(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(serve_http, "_READ_TIMEOUT", 0.5)
+    before = handler_threads()
+    with running_server(tmp_path) as srv:
+        socks = [socket.create_connection(srv.server_address[:2], timeout=5)
+                 for _ in range(5)]
+        try:
+            for sock in socks:
+                sock.sendall(post(b"Content-Length: 100\r\n", SUBMIT[:10]))
+            # Each read times out and the server ends the connection, with
+            # no reply; its thread is idle again before the connection ends.
+            for sock in socks:
+                assert read_to_end(sock) == b""
+        finally:
+            for sock in socks:
+                sock.close()
+        threads = handler_threads() - before
+        assert len(threads) == 5
+        client = client_for(srv, tenant="alice")
+        job = client.submit("demo", {"points": 2, "delay": 0.0})
+        assert client.wait(job["id"], timeout=30)["state"] == "done"
+        assert handler_threads() - before == threads
+    assert "Traceback" not in capsys.readouterr().err

@@ -843,24 +843,32 @@ def _cpu_seconds(pid):
     return (int(fields[11]) + int(fields[12])) / os.sysconf("SC_CLK_TCK")
 
 
+def _serve_run(tmp_path, **popen):
+    """``python -m repro serve run`` on an ephemeral port, in a subprocess
+    whose first stdout line names the URL it serves."""
+    import subprocess
+    import sys
+
+    root = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(root, "src"), root]), REPRO_JOBS="2")
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "run", "--port", "0",
+         "--store", str(tmp_path / "store"), "--quiet"],
+        env=env, stdout=subprocess.PIPE, text=True, **popen,
+    )
+
+
 @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc (Linux)")
 def test_idle_service_does_not_spin(tmp_path):
     """An idle ``serve run`` with warm local workers blocks in ``select``:
     well under 0.5 CPU-s over 5 s (the scheduler used to spin a core)."""
     import signal
     import subprocess
-    import sys
 
     from repro.serve.client import ServeClient
 
-    root = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [os.path.join(root, "src"), root]), REPRO_JOBS="2")
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "repro", "serve", "run", "--port", "0",
-         "--store", str(tmp_path / "store"), "--quiet"],
-        env=env, stdout=subprocess.PIPE, text=True,
-    )
+    proc = _serve_run(tmp_path)
     try:
         line = proc.stdout.readline()
         assert line.startswith("serving on "), line
@@ -876,6 +884,35 @@ def test_idle_service_does_not_spin(tmp_path):
         try:
             proc.wait(timeout=30)
         except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()
+
+
+def test_serve_run_started_with_sigint_ignored_stops_on_sigint(tmp_path):
+    """A shell starts a background job with SIGINT ignored; ``serve run``
+    must still take SIGINT as its clean stop."""
+    import signal
+    import subprocess
+
+    from repro.serve.client import ServeClient
+
+    proc = _serve_run(
+        tmp_path, preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_IGN)
+    )
+    try:
+        line = proc.stdout.readline()
+        assert line.startswith("serving on "), line
+        client = ServeClient(line.split()[2])
+        deadline = time.monotonic() + 10
+        while not client.healthy():
+            assert time.monotonic() < deadline, "the service did not come up"
+            time.sleep(0.05)
+        proc.send_signal(signal.SIGINT)
+        assert proc.wait(timeout=10) == 0
+        assert "shutting down" in proc.stdout.read()
+    finally:
+        if proc.poll() is None:
             proc.kill()
             proc.wait()
         proc.stdout.close()

@@ -90,40 +90,18 @@ class TestChaosCommand:
 
 
 class TestVersionCommand:
-    def test_version_subcommand_prints_version_and_engine(self, capsys):
+    def test_version_subcommand_prints_the_version(self, capsys):
         from repro import __version__
 
         assert main(["version"]) == 0
-        lines = capsys.readouterr().out.strip().splitlines()
-        assert lines[0] == __version__
-        assert lines[1].startswith("engine: ")
-        assert "numpy" in lines[1]
-
-    def test_version_reports_env_selected_engine(self, capsys, monkeypatch):
-        from repro.core.engine_vector import have_numpy
-
-        monkeypatch.setenv("REPRO_ENGINE", "vector")
-        assert main(["version"]) == 0
-        engine_line = capsys.readouterr().out.strip().splitlines()[1]
-        if have_numpy():
-            assert engine_line.startswith("engine: vector")
-        else:  # the documented numpy fallback is surfaced, not silent
-            assert engine_line.startswith("engine: reference")
-            assert "requested 'vector'" in engine_line
-
-    def test_version_rejects_bad_engine_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "turbo")
-        assert main(["version"]) == 2
-        assert "engine" in capsys.readouterr().err
+        assert capsys.readouterr().out == f"{__version__}\n"
 
     def test_version_flags(self, capsys):
         from repro import __version__
 
         for flag in ("--version", "-V"):
             assert main([flag]) == 0
-            lines = capsys.readouterr().out.strip().splitlines()
-            assert lines[0] == __version__
-            assert lines[1].startswith("engine: ")
+            assert capsys.readouterr().out == f"{__version__}\n"
 
     def test_version_is_not_an_experiment(self):
         assert "version" not in EXPERIMENTS
@@ -339,8 +317,6 @@ class TestBenchCheckCommand:
                                    "correct": True},
             },
         },
-        "engines_agree_mpc": True,
-        "engines_agree_pem": True,
     }
 
     def test_cross_model_perturbed_point_exits_nonzero(self, tmp_path, capsys):

@@ -6,9 +6,9 @@ Run from the repository root:
 
 For each store, prints ``<outcomes> <sha256>  <STORE>``: the number of
 stored outcomes and one SHA-256 over ``(key, canonical outcome JSON)`` in
-key order.  Two stores filled by the same campaign on different code (two
-engines, or a parent commit and a change) hold byte-identical outcomes
-exactly when their digests match.
+key order.  Two stores filled by the same campaign on different code (a
+parent commit and a change, say) hold byte-identical outcomes exactly
+when their digests match.
 
 Exit status 1 when two given stores' digests differ, or when ``--count``
 is given and a store holds another number of outcomes; 0 otherwise.
